@@ -8,6 +8,7 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/core"
 	"spottune/internal/earlycurve"
+	"spottune/internal/golden"
 	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/search"
@@ -135,6 +136,21 @@ func TestRunNilBenchmark(t *testing.T) {
 	if _, err := env.RunSingleSpot(nil, nil, "r4.large", 1); err == nil {
 		t.Error("nil benchmark accepted")
 	}
+}
+
+// TestGoldenRunSpotTuneReport pins RunSpotTune's full report on a quick
+// environment to testdata/runspottune.golden.json, bit for bit.
+func TestGoldenRunSpotTuneReport(t *testing.T) {
+	env := quickEnv(t, PredictorConstant)
+	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 5, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := env.RunSpotTune(bench, bench.SyntheticCurves(5), Options{Theta: 0.7, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "runspottune.golden.json", golden.JSON(t, rep))
 }
 
 // TestSpotTunePolicyReproducesProvisionerPath is the refactoring

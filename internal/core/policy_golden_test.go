@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"spottune/internal/cloudsim"
+	"spottune/internal/golden"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
+	"spottune/internal/trial"
 )
 
 // worldPolicy constructs a registered policy bound to a testWorld's grids
@@ -72,7 +74,26 @@ func TestGoldenSpotTunePolicyBitForBit(t *testing.T) {
 				t.Errorf("spiky=%v: trial %s steps %d vs %d", spiky, trialsA[i].ID(), a, b)
 			}
 		}
+		name := "spottune_policy_flat.golden.json"
+		if spiky {
+			name = "spottune_policy_spiky.golden.json"
+		}
+		golden.Check(t, name, reportJSON(t, repB, trialsB))
 	}
+}
+
+// reportJSON renders a campaign report plus every trial's completed step
+// count for golden comparison.
+func reportJSON(t *testing.T, rep *Report, trials []*trial.Replay) []byte {
+	t.Helper()
+	steps := make(map[string]int, len(trials))
+	for _, tr := range trials {
+		steps[tr.ID()] = tr.CompletedSteps()
+	}
+	return golden.JSON(t, struct {
+		Report *Report
+		Steps  map[string]int
+	}{rep, steps})
 }
 
 // baselineCfg is the orchestrator configuration that makes a Single-Spot
