@@ -1,8 +1,9 @@
 GO ?= go
 
-# Total -short coverage recorded when the scenario engine landed; the cover
-# target (and CI's coverage lane) fail if the suite drops below it.
-COVER_FLOOR ?= 73.0
+# Total -short coverage, raised to the measured total (rounded down to 0.1)
+# whenever dead code leaves, so deletions cannot lower it; the cover target
+# (and CI's coverage lane) fail if the suite drops below it.
+COVER_FLOOR ?= 74.3
 
 .PHONY: all vet build test test-short bench bench-campaign bench-obs trace scenarios storm service fuzz cover ci
 
@@ -112,7 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/scenario
 
 # Coverage gate: total -short statement coverage must stay at or above
-# COVER_FLOOR (the level recorded when the scenario engine landed).
+# COVER_FLOOR.
 cover:
 	$(GO) test -short -coverprofile=cover.out ./...
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \

@@ -30,6 +30,7 @@ import (
 	"spottune/internal/mltrain"
 	"spottune/internal/nn"
 	"spottune/internal/obs"
+	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/scenario"
 	"spottune/internal/service"
@@ -228,12 +229,12 @@ func BenchmarkCrossPolicy(b *testing.B) {
 	ctx := experiments.NewContext(experiments.Options{
 		Seed: 1, Scale: 0.15, Quick: true, Workloads: []string{"LoR"},
 	})
-	if _, err := experiments.CrossPolicy(ctx); err != nil { // warm the lazy fixtures
+	if _, _, err := experiments.CrossPolicy(ctx, false); err != nil { // warm the lazy fixtures
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CrossPolicy(ctx)
+		rows, _, err := experiments.CrossPolicy(ctx, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,11 +503,14 @@ func (f *multiDayFixture) run(b testing.TB, mode core.LoopMode) *core.Report {
 		}
 		trials = append(trials, tr)
 	}
-	prov, err := core.NewProvisioner(cluster, []string{"slow", "fast"}, f.grids, f.preds, 0, 0, 7)
+	pool := []string{"slow", "fast"}
+	pol, err := policy.New(policy.SpotTuneName, policy.Params{
+		Pool: pool, Seed: 7, RevProb: core.GridRevProb(f.grids, f.preds),
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	orch, err := core.NewOrchestrator(cluster, cloudsim.NewObjectStore(), prov, trials, core.Config{
+	orch, err := core.NewPolicyOrchestrator(cluster, cloudsim.NewObjectStore(), pol, pool, trials, core.Config{
 		Mode: mode, Theta: 0.7, MCnt: 2, StartupDelay: 30 * time.Second,
 	})
 	if err != nil {

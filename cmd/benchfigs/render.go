@@ -409,14 +409,11 @@ func runAblation(ctx *experiments.Context, w *writer) error {
 // observational, so the rows (and the JSON artifact) are byte-identical to
 // an untraced study.
 func runPolicyStudy(ctx *experiments.Context, w *writer, jsonPath, tracePath, traceFormat string) error {
-	var rows []experiments.CrossPolicyRow
-	var err error
+	rows, recs, err := experiments.CrossPolicy(ctx, tracePath != "")
+	if err != nil {
+		return err
+	}
 	if tracePath != "" {
-		var recs []*obs.Recording
-		rows, recs, err = experiments.CrossPolicyTraced(ctx)
-		if err != nil {
-			return err
-		}
 		tf, err := os.Create(tracePath)
 		if err != nil {
 			return err
@@ -429,11 +426,6 @@ func runPolicyStudy(ctx *experiments.Context, w *writer, jsonPath, tracePath, tr
 			return err
 		}
 		fmt.Printf("cross-policy trace written to %s (format %s)\n", tracePath, traceFormat)
-	} else {
-		rows, err = experiments.CrossPolicy(ctx)
-		if err != nil {
-			return err
-		}
 	}
 	var out [][]string
 	for _, r := range rows {

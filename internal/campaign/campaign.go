@@ -519,6 +519,36 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 	return rep, nil
 }
 
+// PolicyRow is one provisioning policy's campaign outcome on one workload:
+// the cost/JCT comparison row shared by the cross-policy study and the
+// scenario matrix.
+type PolicyRow struct {
+	Policy              string
+	Workload            string
+	Cost                float64
+	JCTHours            float64
+	RefundFrac          float64
+	Deployments         int
+	OnDemandDeployments int
+	Notices             int
+	Report              *core.Report
+}
+
+// NewPolicyRow summarizes a campaign report as the named policy's row.
+func NewPolicyRow(policyName, workloadName string, rep *core.Report) PolicyRow {
+	return PolicyRow{
+		Policy:              policyName,
+		Workload:            workloadName,
+		Cost:                rep.NetCost,
+		JCTHours:            rep.JCT.Hours(),
+		RefundFrac:          rep.RefundFraction(),
+		Deployments:         rep.Deployments,
+		OnDemandDeployments: rep.OnDemandDeployments,
+		Notices:             rep.Notices,
+		Report:              rep,
+	}
+}
+
 // PolicyTasks builds one Sweep task per policy name (every registered
 // policy when names is nil) over the same benchmark, curves, and options —
 // the policy-dimension sweep behind the cross-policy comparison study.

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"spottune/internal/cloudsim"
-	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/golden"
 	"spottune/internal/policy"
@@ -151,54 +149,6 @@ func TestGoldenRunSpotTuneReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden.Check(t, "runspottune.golden.json", golden.JSON(t, rep))
-}
-
-// TestSpotTunePolicyReproducesProvisionerPath is the refactoring
-// acceptance gate: RunSpotTune — now routed through the policy engine —
-// must reproduce the pre-policy wiring (core.NewProvisioner +
-// core.NewOrchestrator over the same environment and seeds) bit-for-bit.
-func TestSpotTunePolicyReproducesProvisionerPath(t *testing.T) {
-	env := quickEnv(t, PredictorConstant)
-	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 5, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := bench.SyntheticCurves(5)
-	opt := Options{Theta: 0.7, Seed: 5}
-
-	viaPolicy, err := env.RunSpotTune(bench, curves, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The legacy wiring, reconstructed verbatim.
-	cluster, err := env.NewCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials, err := bench.Trials(curves, opt.Seed+0xbead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := core.NewProvisioner(cluster, env.Pool, env.Grids, env.Predictors, 0, 0, opt.Seed+0x51d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := core.NewOrchestrator(cluster, cloudsim.NewObjectStore(), prov, trials, core.Config{
-		Theta: opt.Theta,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaProvisioner, err := orch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(viaPolicy, viaProvisioner) {
-		t.Errorf("policy-path report diverges from provisioner path:\n%+v\nvs\n%+v",
-			viaPolicy, viaProvisioner)
-	}
 }
 
 // TestEveryPolicyDeterministicReplay: each registered policy must replay

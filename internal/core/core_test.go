@@ -8,6 +8,7 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
+	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
@@ -126,13 +127,43 @@ func mkTrials(t *testing.T, w *testWorld, n, maxSteps, every int) []*trial.Repla
 
 func idFor(i int) string { return string(rune('a'+i)) + "-hp" }
 
-func (w *testWorld) provisioner(t *testing.T) *Provisioner {
+// bothTypes is the fixture's full instance pool.
+var bothTypes = []string{"slow", "fast"}
+
+// worldPolicy constructs a registered policy bound to a testWorld's grids
+// and predictors, with the default bid-delta interval.
+func worldPolicy(t *testing.T, w *testWorld, name string, pool []string, seed uint64) policy.Policy {
 	t.Helper()
-	p, err := NewProvisioner(w.cluster, []string{"slow", "fast"}, w.grids, w.preds, 0, 0, 7)
+	pol, err := policy.New(name, policy.Params{
+		Pool:    pool,
+		Seed:    seed,
+		RevProb: GridRevProb(w.grids, w.preds),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return pol
+}
+
+// spotTune wires an orchestrator over the given trials under the
+// "spottune" policy — the paper's Eq. 1–2 provisioner — choosing from pool
+// with bid deltas drawn from the seeded stream.
+func (w *testWorld) spotTune(t *testing.T, pool []string, seed uint64, trials []*trial.Replay, cfg Config) (*Orchestrator, error) {
+	t.Helper()
+	return NewPolicyOrchestrator(w.cluster, w.store,
+		worldPolicy(t, w, policy.SpotTuneName, pool, seed), pool, trials, cfg)
+}
+
+// decide asks a fresh spottune policy over both fixture types for one
+// deployment, with the given seconds-per-step estimates.
+func (w *testWorld) decide(t *testing.T, secPerStep func(typeName string) float64) policy.Request {
+	t.Helper()
+	req, err := worldPolicy(t, w, policy.SpotTuneName, bothTypes, 7).Decide(
+		policy.Context{Market: w.cluster, SecPerStep: secPerStep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
 }
 
 func TestPerfMatrixInitAndObserve(t *testing.T) {
@@ -161,46 +192,51 @@ func TestPerfMatrixInitAndObserve(t *testing.T) {
 	}
 }
 
+// TestProvisionerValidation: the Eq. 1–2 provisioner (policy spottune)
+// rejects an empty pool and an inverted bid-delta interval, and the pool
+// wiring guard rejects members without a grid or a predictor.
 func TestProvisionerValidation(t *testing.T) {
 	w := newWorld(t, false)
-	if _, err := NewProvisioner(w.cluster, nil, w.grids, w.preds, 0, 0, 1); err == nil {
+	rp := GridRevProb(w.grids, w.preds)
+	if _, err := policy.New(policy.SpotTuneName, policy.Params{Seed: 1, RevProb: rp}); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := NewProvisioner(w.cluster, []string{"nope"}, w.grids, w.preds, 0, 0, 1); err == nil {
+	if _, err := policy.New(policy.SpotTuneName, policy.Params{
+		Pool: []string{"slow"}, Seed: 1, RevProb: rp, DeltaLow: 0.3, DeltaHigh: 0.1,
+	}); err == nil {
+		t.Error("inverted delta interval accepted")
+	}
+	if err := ValidatePoolWiring([]string{"nope"}, w.grids, w.preds); err == nil {
 		t.Error("missing grid accepted")
 	}
-	if _, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0.3, 0.1, 1); err == nil {
-		t.Error("inverted delta interval accepted")
+	if err := ValidatePoolWiring([]string{"slow"}, w.grids, map[string]revpred.Predictor{}); err == nil {
+		t.Error("missing predictor accepted")
+	}
+	if err := ValidatePoolWiring(bothTypes, w.grids, w.preds); err != nil {
+		t.Errorf("complete wiring rejected: %v", err)
 	}
 }
 
 func TestProvisionerPicksMinStepCost(t *testing.T) {
 	w := newWorld(t, false)
-	p := w.provisioner(t)
 	w.clk.Sleep(2 * time.Hour) // give grids feature history
 	// Step costs: slow = 4s × 0.02 = 0.08; fast = 1s × 0.2 = 0.2.
-	choice, err := p.Best(func(tn string) float64 { return float64(w.perf[tn]) })
-	if err != nil {
-		t.Fatal(err)
+	req := w.decide(t, func(tn string) float64 { return float64(w.perf[tn]) })
+	if req.TypeName != "slow" {
+		t.Fatalf("chose %s, want slow (cheaper per step)", req.TypeName)
 	}
-	if choice.TypeName != "slow" {
-		t.Fatalf("chose %s, want slow (cheaper per step)", choice.TypeName)
-	}
-	if choice.MaxPrice <= 0.02 || choice.MaxPrice > 0.02+DefaultDeltaHigh+1e-9 {
-		t.Fatalf("max price %v outside bid window", choice.MaxPrice)
+	if req.MaxPrice <= 0.02 || req.MaxPrice > 0.02+DefaultDeltaHigh+1e-9 {
+		t.Fatalf("max price %v outside bid window", req.MaxPrice)
 	}
 	// Make fast dramatically faster so it wins: 0.05s × 0.2 = 0.01 < 0.08.
-	choice, err = p.Best(func(tn string) float64 {
+	req = w.decide(t, func(tn string) float64 {
 		if tn == "fast" {
 			return 0.05
 		}
 		return 4.0
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.TypeName != "fast" {
-		t.Fatalf("chose %s, want fast", choice.TypeName)
+	if req.TypeName != "fast" {
+		t.Fatalf("chose %s, want fast", req.TypeName)
 	}
 }
 
@@ -208,17 +244,13 @@ func TestProvisionerFavorsLikelyRevoked(t *testing.T) {
 	w := newWorld(t, false)
 	// fast: p=0.95 -> expected cost (1-0.95)·0.2·1 = 0.01 < slow 0.08.
 	w.preds["fast"] = revpred.ConstantPredictor(0.95)
-	p := w.provisioner(t)
 	w.clk.Sleep(2 * time.Hour)
-	choice, err := p.Best(func(tn string) float64 { return float64(w.perf[tn]) })
-	if err != nil {
-		t.Fatal(err)
+	req := w.decide(t, func(tn string) float64 { return float64(w.perf[tn]) })
+	if req.TypeName != "fast" {
+		t.Fatalf("chose %s, want fast (refund-likely)", req.TypeName)
 	}
-	if choice.TypeName != "fast" {
-		t.Fatalf("chose %s, want fast (refund-likely)", choice.TypeName)
-	}
-	if choice.RevProb != 0.95 {
-		t.Fatalf("RevProb = %v", choice.RevProb)
+	if req.RevProb != 0.95 {
+		t.Fatalf("RevProb = %v", req.RevProb)
 	}
 }
 
@@ -274,7 +306,7 @@ func orchCfg(theta float64) Config {
 func TestOrchestratorFullTheta(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 4, 100, 10)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
+	orch, err := w.spotTune(t, bothTypes, 7, trials, orchCfg(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +337,7 @@ func TestOrchestratorFullTheta(t *testing.T) {
 func TestOrchestratorEarlyShutdownSavesSteps(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 4, 100, 10)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(0.5))
+	orch, err := w.spotTune(t, bothTypes, 7, trials, orchCfg(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +378,7 @@ func TestOrchestratorHourlyRestart(t *testing.T) {
 	// One long trial: 4 s/step × 2000 steps ≈ 2.2h on slow.
 	trials := mkTrials(t, w, 1, 2000, 100)
 	cfg := orchCfg(1.0)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
+	orch, err := w.spotTune(t, bothTypes, 7, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +407,7 @@ func TestOrchestratorSurvivesRevocations(t *testing.T) {
 	cfg := orchCfg(1.0)
 	// Pool restricted to the spiky market so near-market bids must face
 	// the periodic spike.
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
+	orch, err := w.spotTune(t, []string{"slow"}, 7, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,14 +443,15 @@ func TestOrchestratorSurvivesRevocations(t *testing.T) {
 func TestOrchestratorValidation(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 2, 100, 10)
-	if _, err := NewOrchestrator(nil, w.store, w.provisioner(t), trials, Config{}); err == nil {
+	if _, err := NewPolicyOrchestrator(nil, w.store,
+		worldPolicy(t, w, policy.SpotTuneName, bothTypes, 7), bothTypes, trials, Config{}); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), nil, Config{}); err == nil {
+	if _, err := w.spotTune(t, bothTypes, 7, nil, Config{}); err == nil {
 		t.Error("no trials accepted")
 	}
 	dup := []*trial.Replay{trials[0], trials[0]}
-	if _, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), dup, Config{}); err == nil {
+	if _, err := w.spotTune(t, bothTypes, 7, dup, Config{}); err == nil {
 		t.Error("duplicate trials accepted")
 	}
 }

@@ -34,13 +34,9 @@ func mkBigTrial(t *testing.T, w *testWorld, maxSteps, every int) *trial.Replay {
 func TestOversizedTrialSurvivesRevocationsViaPeriodicCheckpoints(t *testing.T) {
 	w := newWorld(t, true) // spiky market: revocations guaranteed
 	big := mkBigTrial(t, w, 1200, 50)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := orchCfg(1.0)
 	cfg.PeriodicCheckpoint = 5 * time.Minute
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, []*trial.Replay{big}, cfg)
+	orch, err := w.spotTune(t, []string{"slow"}, 3, []*trial.Replay{big}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +69,9 @@ func TestOversizedCheckpointSkippedAtNotice(t *testing.T) {
 	// point is the baseline snapshot.
 	w := newWorld(t, true)
 	big := mkBigTrial(t, w, 300, 25)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := orchCfg(1.0)
 	cfg.PeriodicCheckpoint = 2 * time.Hour // effectively never: baseline only
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, []*trial.Replay{big}, cfg)
+	orch, err := w.spotTune(t, []string{"slow"}, 4, []*trial.Replay{big}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +89,7 @@ func TestMaxConcurrentFanOut(t *testing.T) {
 	w1 := newWorld(t, false)
 	trialsSeq := mkTrials(t, w1, 4, 200, 20)
 	seqCfg := orchCfg(1.0)
-	orchSeq, err := NewOrchestrator(w1.cluster, w1.store, w1.provisioner(t), trialsSeq, seqCfg)
+	orchSeq, err := w1.spotTune(t, bothTypes, 7, trialsSeq, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +102,7 @@ func TestMaxConcurrentFanOut(t *testing.T) {
 	trialsPar := mkTrials(t, w2, 4, 200, 20)
 	parCfg := orchCfg(1.0)
 	parCfg.MaxConcurrent = 4
-	orchPar, err := NewOrchestrator(w2.cluster, w2.store, w2.provisioner(t), trialsPar, parCfg)
+	orchPar, err := w2.spotTune(t, bothTypes, 7, trialsPar, parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +128,7 @@ func TestOrchestratorWithOraclePredictorFarmsRefunds(t *testing.T) {
 	w.preds["slow"] = revpred.Oracle{}
 	w.preds["fast"] = revpred.Oracle{}
 	trials := mkTrials(t, w, 2, 600, 50)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
+	orch, err := w.spotTune(t, bothTypes, 7, trials, orchCfg(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +153,7 @@ func TestSLAQTrendIntegration(t *testing.T) {
 	trials := mkTrials(t, w, 4, 100, 10)
 	cfg := orchCfg(0.5)
 	cfg.Trend = earlycurve.SLAQ{}
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
+	orch, err := w.spotTune(t, bothTypes, 7, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +212,7 @@ func TestRevocationStorm(t *testing.T) {
 	// immediately and repeatedly. The orchestrator must still finish.
 	w := stormWorld(t, 8*time.Minute, 5*time.Minute)
 	trials := mkTrials(t, w, 2, 300, 25)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, orchCfg(1.0))
+	orch, err := w.spotTune(t, []string{"slow"}, 5, trials, orchCfg(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,9 @@ func runGolden(t *testing.T, spiky bool, pool []string, n, maxSteps, every int, 
 	run := func(mode LoopMode) (*Report, []*trial.Replay) {
 		w := newWorld(t, spiky)
 		trials := mkTrials(t, w, n, maxSteps, every)
-		prov, err := NewProvisioner(w.cluster, pool, w.grids, w.preds, 0, 0, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c := cfg
 		c.Mode = mode
-		orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, c)
+		orch, err := w.spotTune(t, pool, 7, trials, c)
 		if err != nil {
 			t.Fatal(err)
 		}

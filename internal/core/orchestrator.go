@@ -350,21 +350,6 @@ type Orchestrator struct {
 	trc obs.Tracer
 }
 
-// NewOrchestrator wires a campaign over the given trials using the paper's
-// Eq. 1–2 provisioner (the "spottune" policy the Provisioner wraps).
-func NewOrchestrator(
-	cluster *cloudsim.Cluster,
-	store *cloudsim.ObjectStore,
-	prov *Provisioner,
-	trials []*trial.Replay,
-	cfg Config,
-) (*Orchestrator, error) {
-	if prov == nil {
-		return nil, errors.New("core: orchestrator needs a cluster, store, and provisioner")
-	}
-	return NewPolicyOrchestrator(cluster, store, prov.pol, prov.Pool(), trials, cfg)
-}
-
 // NewPolicyOrchestrator wires a campaign whose deployment decisions come
 // from the given provisioning policy over the given instance pool.
 func NewPolicyOrchestrator(

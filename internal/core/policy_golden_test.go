@@ -12,73 +12,26 @@ import (
 	"spottune/internal/trial"
 )
 
-// worldPolicy constructs a registered policy bound to a testWorld's grids
-// and predictors — the same wiring NewProvisioner uses internally.
-func worldPolicy(t *testing.T, w *testWorld, name string, pool []string, seed uint64) policy.Policy {
-	t.Helper()
-	pol, err := policy.New(name, policy.Params{
-		Pool:    pool,
-		Seed:    seed,
-		RevProb: GridRevProb(w.grids, w.preds),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pol
-}
-
-// TestGoldenSpotTunePolicyBitForBit: the extracted "spottune" policy run
-// through NewPolicyOrchestrator must reproduce the legacy
-// Provisioner-constructed orchestrator bit-for-bit — same report, same
-// per-trial step counts — on identically seeded worlds. This is the
-// refactoring contract: Eq. 1–2 moved packages without changing a single
-// decision.
+// TestGoldenSpotTunePolicyBitForBit pins the "spottune" policy's campaign
+// on the flat and spiky fixtures — full report plus per-trial step counts —
+// to committed goldens, bit for bit.
 func TestGoldenSpotTunePolicyBitForBit(t *testing.T) {
 	for _, spiky := range []bool{false, true} {
-		pool := []string{"slow", "fast"}
-		cfg := orchCfg(0.7)
-
-		wa := newWorld(t, spiky)
-		trialsA := mkTrials(t, wa, 4, 200, 20)
-		prov, err := NewProvisioner(wa.cluster, pool, wa.grids, wa.preds, 0, 0, 7)
+		w := newWorld(t, spiky)
+		trials := mkTrials(t, w, 4, 200, 20)
+		orch, err := w.spotTune(t, bothTypes, 7, trials, orchCfg(0.7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		orchA, err := NewOrchestrator(wa.cluster, wa.store, prov, trialsA, cfg)
+		rep, err := orch.Run()
 		if err != nil {
 			t.Fatal(err)
-		}
-		repA, err := orchA.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		wb := newWorld(t, spiky)
-		trialsB := mkTrials(t, wb, 4, 200, 20)
-		orchB, err := NewPolicyOrchestrator(wb.cluster, wb.store,
-			worldPolicy(t, wb, policy.SpotTuneName, pool, 7), pool, trialsB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repB, err := orchB.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if !reflect.DeepEqual(repA, repB) {
-			t.Errorf("spiky=%v: spottune-as-policy diverges from provisioner path:\n%+v\nvs\n%+v",
-				spiky, repA, repB)
-		}
-		for i := range trialsA {
-			if a, b := trialsA[i].CompletedSteps(), trialsB[i].CompletedSteps(); a != b {
-				t.Errorf("spiky=%v: trial %s steps %d vs %d", spiky, trialsA[i].ID(), a, b)
-			}
 		}
 		name := "spottune_policy_flat.golden.json"
 		if spiky {
 			name = "spottune_policy_spiky.golden.json"
 		}
-		golden.Check(t, name, reportJSON(t, repB, trialsB))
+		golden.Check(t, name, reportJSON(t, rep, trials))
 	}
 }
 

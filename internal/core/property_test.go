@@ -33,7 +33,7 @@ func TestOrchestratorConservationProperty(t *testing.T) {
 		cfg := orchCfg(theta)
 		cfg.MCnt = 1 + rng.IntN(nTrials)
 		cfg.MaxConcurrent = 1 + rng.IntN(2)
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
+		orch, err := w.spotTune(t, bothTypes, 7, trials, cfg)
 		if err != nil {
 			return false
 		}
@@ -106,7 +106,7 @@ func TestCampaignJCTBoundedProperty(t *testing.T) {
 		n := 2 + rng.IntN(2)
 		maxSteps := (100 + rng.IntN(100)) / 10 * 10
 		trials := mkTrials(t, w, n, maxSteps, 10)
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
+		orch, err := w.spotTune(t, bothTypes, 7, trials, orchCfg(1.0))
 		if err != nil {
 			return false
 		}
@@ -136,11 +136,7 @@ func TestCampaignJCTBoundedProperty(t *testing.T) {
 func TestCheckpointMonotoneProperty(t *testing.T) {
 	w := newWorld(t, true)
 	trials := mkTrials(t, w, 1, 600, 50)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, orchCfg(1.0))
+	orch, err := w.spotTune(t, []string{"slow"}, 9, trials, orchCfg(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,7 @@ func runTraced(t *testing.T, w *testWorld, trials []*trial.Replay, cfg Config, p
 	t.Helper()
 	rec := obs.NewRecording(obs.Meta{Tuner: "spottune", Policy: "test", Workload: "synthetic", Seed: 1})
 	cfg.Tracer = rec
-	prov, err := NewProvisioner(w.cluster, pool, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
+	orch, err := w.spotTune(t, pool, 7, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +72,7 @@ func TestBlackoutRetryBookkeeping(t *testing.T) {
 	rec := obs.NewRecording(obs.Meta{Tuner: "spottune", Policy: "test", Workload: "synthetic", Seed: 1})
 	cfg := orchCfg(1.0)
 	cfg.Tracer = rec
-	prov, err := NewProvisioner(w.cluster, []string{"slow", "fast"}, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
+	orch, err := w.spotTune(t, []string{"slow", "fast"}, 7, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

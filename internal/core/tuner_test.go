@@ -21,13 +21,9 @@ func runTuner(t *testing.T, spiky bool, pool []string, tunerName string, n, maxS
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := NewProvisioner(w.cluster, pool, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := cfg
 	c.Tuner = tun
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, c)
+	orch, err := w.spotTune(t, pool, 7, trials, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,7 @@ func TestTunerExplicitSpotTuneMatchesDefault(t *testing.T) {
 
 	wa := newWorld(t, true)
 	trialsA := mkTrials(t, wa, 4, 200, 20)
-	orchA, err := NewOrchestrator(wa.cluster, wa.store, wa.provisioner(t), trialsA, cfg)
+	orchA, err := wa.spotTune(t, bothTypes, 7, trialsA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +224,7 @@ func TestPredictionFallbacksUnderBlackout(t *testing.T) {
 	blind := mkSparseTrial(t, w, "blind-hp", 100, []int{80, 100}, 0.2)
 	cfg := orchCfg(0.7)
 	cfg.MCnt = 1
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), []*trial.Replay{thin, blind}, cfg)
+	orch, err := w.spotTune(t, bothTypes, 7, []*trial.Replay{thin, blind}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +282,7 @@ func TestRunRejectsMalformedRounds(t *testing.T) {
 		trials := mkTrials(t, w, 2, 50, 10)
 		cfg := orchCfg(0.7)
 		cfg.Tuner = &badTuner{directive: d}
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
+		orch, err := w.spotTune(t, bothTypes, 7, trials, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

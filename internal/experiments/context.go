@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -113,6 +114,29 @@ func (c *Context) defaultKind() campaign.PredictorKind {
 		return campaign.PredictorConstant
 	}
 	return campaign.PredictorRevPred
+}
+
+// study returns the shared world of the comparison studies (CrossPolicy,
+// CrossTuner): the default-kind environment plus the benchmark and curves
+// of the first configured workload.
+func (c *Context) study() (*campaign.Environment, *workload.Benchmark, workload.Curves, error) {
+	if len(c.Opts.Workloads) == 0 {
+		return nil, nil, nil, errors.New("experiments: no study workload configured")
+	}
+	name := c.Opts.Workloads[0]
+	env, err := c.Env(c.defaultKind())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bench, err := c.Bench(name)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	curves, err := c.Curves(name)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return env, bench, curves, nil
 }
 
 // Bench returns the cached benchmark.

@@ -1,30 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"spottune/internal/campaign"
-	"spottune/internal/core"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
-	"spottune/internal/workload"
 )
-
-// CrossPolicyRow is one provisioning policy's campaign outcome on the study
-// workload — the cost/JCT comparison the policy engine exists for.
-type CrossPolicyRow struct {
-	Policy              string
-	Workload            string
-	Cost                float64
-	JCTHours            float64
-	RefundFrac          float64
-	Deployments         int
-	OnDemandDeployments int
-	Notices             int
-	Report              *core.Report
-}
 
 // CrossPolicy runs every registered provisioning policy (SpotTune, the
 // Single-Spot baselines, on-demand only, spot-with-on-demand-fallback, and
@@ -32,111 +15,46 @@ type CrossPolicyRow struct {
 // Options.Workloads — at θ=0.7, fanned out through the campaign.Sweep
 // worker pool. Rows come back in registry-name order; everything is
 // deterministic given the seed.
-func CrossPolicy(ctx *Context) ([]CrossPolicyRow, error) {
-	if len(ctx.Opts.Workloads) == 0 {
-		return nil, errors.New("experiments: no study workload configured")
-	}
-	name := ctx.Opts.Workloads[0]
-	env, err := ctx.Env(ctx.defaultKind())
-	if err != nil {
-		return nil, err
-	}
-	bench, err := ctx.Bench(name)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := ctx.Curves(name)
-	if err != nil {
-		return nil, err
-	}
-	return CrossPolicyOn(env, bench, curves, policy.Names(),
-		campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
-}
-
-// CrossPolicyTraced is CrossPolicy with the flight recorder on: the returned
-// recordings parallel the rows (recs[i] is rows[i]'s campaign trace).
-// Tracing is purely observational, so the rows are identical to an untraced
-// study. The collection map is mutex-guarded because the sweep pool calls
-// Inspect from worker goroutines; the returned order is row order, so output
-// stays deterministic regardless of scheduling.
-func CrossPolicyTraced(ctx *Context) ([]CrossPolicyRow, []*obs.Recording, error) {
-	if len(ctx.Opts.Workloads) == 0 {
-		return nil, nil, errors.New("experiments: no study workload configured")
-	}
-	name := ctx.Opts.Workloads[0]
-	env, err := ctx.Env(ctx.defaultKind())
+//
+// With trace set the flight recorder is on and the returned recordings
+// parallel the rows (recs[i] is rows[i]'s campaign trace); otherwise recs is
+// nil. Tracing is purely observational, so the rows are identical either
+// way. The collection map is mutex-guarded because the sweep pool calls
+// Inspect from worker goroutines; the returned order is row order, so
+// output stays deterministic regardless of scheduling.
+func CrossPolicy(ctx *Context, trace bool) (rows []campaign.PolicyRow, recs []*obs.Recording, err error) {
+	env, bench, curves, err := ctx.study()
 	if err != nil {
 		return nil, nil, err
 	}
-	bench, err := ctx.Bench(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	curves, err := ctx.Curves(name)
-	if err != nil {
-		return nil, nil, err
-	}
+	opt := campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed}
 	var mu sync.Mutex
 	byPolicy := map[string]*obs.Recording{}
-	rows, err := CrossPolicyOn(env, bench, curves, policy.Names(), campaign.Options{
-		Theta: 0.7,
-		Seed:  ctx.Opts.Seed,
-		Trace: true,
-		Inspect: func(d *campaign.RunDetail) error {
+	if trace {
+		opt.Trace = true
+		opt.Inspect = func(d *campaign.RunDetail) error {
 			if d.Trace != nil {
 				mu.Lock()
 				byPolicy[d.Trace.Meta.Policy] = d.Trace
 				mu.Unlock()
 			}
 			return nil
-		},
-	})
-	if err != nil {
-		return nil, nil, err
+		}
 	}
-	recs := make([]*obs.Recording, len(rows))
+	names := policy.Names()
+	results := campaign.Sweep(env.PolicyTasks(bench, curves, names, opt), campaign.SweepOptions{Seed: opt.Seed})
+	for i, res := range results {
+		if res.Err != nil {
+			return nil, nil, fmt.Errorf("experiments: policy %s: %w", res.Key, res.Err)
+		}
+		rows = append(rows, campaign.NewPolicyRow(names[i], bench.Name, res.Report))
+	}
+	if !trace {
+		return rows, nil, nil
+	}
+	recs = make([]*obs.Recording, len(rows))
 	for i, r := range rows {
 		recs[i] = byPolicy[r.Policy]
 	}
 	return rows, recs, nil
-}
-
-// CrossPolicyOn fans the named provisioning policies (every registered one
-// when names is nil) over the given environment and workload through the
-// campaign.Sweep worker pool, one row per policy in the given name order.
-// opt.Seed seeds both the campaigns and the sweep's per-task rand streams.
-// CrossPolicy is this on the study defaults; the scenario matrix calls it
-// once per scenario cell-row with fault-injecting environments and an
-// Inspect hook wired into opt.
-func CrossPolicyOn(
-	env *campaign.Environment,
-	bench *workload.Benchmark,
-	curves workload.Curves,
-	names []string,
-	opt campaign.Options,
-) ([]CrossPolicyRow, error) {
-	if names == nil {
-		names = policy.Names()
-	}
-	tasks := env.PolicyTasks(bench, curves, names, opt)
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: opt.Seed})
-	rows := make([]CrossPolicyRow, 0, len(results))
-	for i, res := range results {
-		if res.Err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", res.Key, res.Err)
-		}
-		rep := res.Report
-		rows = append(rows, CrossPolicyRow{
-			Policy:              names[i],
-			Workload:            bench.Name,
-			Cost:                rep.NetCost,
-			JCTHours:            rep.JCT.Hours(),
-			RefundFrac:          rep.RefundFraction(),
-			Deployments:         rep.Deployments,
-			OnDemandDeployments: rep.OnDemandDeployments,
-			Notices:             rep.Notices,
-			Report:              rep,
-		})
-	}
-	return rows, nil
 }

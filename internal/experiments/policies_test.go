@@ -14,14 +14,17 @@ import (
 // study replays bit-identically under a fixed seed.
 func TestCrossPolicyStudy(t *testing.T) {
 	ctx := quickCtx()
-	rows, err := CrossPolicy(ctx)
+	rows, recs, err := CrossPolicy(ctx, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if recs != nil {
+		t.Errorf("untraced study returned %d recordings", len(recs))
 	}
 	if len(rows) < 6 {
 		t.Fatalf("only %d policies in the study: %+v", len(rows), rows)
 	}
-	byName := make(map[string]CrossPolicyRow, len(rows))
+	byName := make(map[string]campaign.PolicyRow, len(rows))
 	for _, r := range rows {
 		byName[r.Policy] = r
 		if r.Workload != "LoR" {
@@ -53,13 +56,23 @@ func TestCrossPolicyStudy(t *testing.T) {
 		}
 	}
 
-	// Deterministic replay of the whole fanned-out study.
-	rows2, err := CrossPolicy(quickCtx())
+	// Deterministic replay of the whole fanned-out study, with the flight
+	// recorder on: tracing is observational, so the rows must not move, and
+	// each recording belongs to its row's policy.
+	rows2, recs, err := CrossPolicy(quickCtx(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rows, rows2) {
-		t.Error("cross-policy study is not deterministic under a fixed seed")
+		t.Error("cross-policy study is not deterministic under a fixed seed (traced replay)")
+	}
+	if len(recs) != len(rows) {
+		t.Fatalf("%d recordings for %d rows", len(recs), len(rows))
+	}
+	for i, rec := range recs {
+		if rec == nil || rec.Meta.Policy != rows[i].Policy {
+			t.Errorf("row %d (%s): recording %+v", i, rows[i].Policy, rec)
+		}
 	}
 }
 
@@ -68,19 +81,11 @@ func TestCrossPolicyStudy(t *testing.T) {
 // second code path.
 func TestCrossPolicySpotTuneMatchesRunSpotTune(t *testing.T) {
 	ctx := quickCtx()
-	rows, err := CrossPolicy(ctx)
+	rows, _, err := CrossPolicy(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := ctx.Env(ctx.defaultKind())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := ctx.Bench("LoR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves, err := ctx.Curves("LoR")
+	env, bench, curves, err := ctx.study()
 	if err != nil {
 		t.Fatal(err)
 	}

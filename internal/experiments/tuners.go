@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"spottune/internal/campaign"
 	"spottune/internal/core"
 	"spottune/internal/policy"
 	"spottune/internal/search"
-	"spottune/internal/workload"
 )
 
 // CrossTunerRow is one search strategy's campaign outcome on the study
@@ -36,56 +34,22 @@ type CrossTunerRow struct {
 // worker pool. Rows come back in registry-name order; everything is
 // deterministic given the seed.
 func CrossTuner(ctx *Context) ([]CrossTunerRow, error) {
-	if len(ctx.Opts.Workloads) == 0 {
-		return nil, errors.New("experiments: no study workload configured")
-	}
-	name := ctx.Opts.Workloads[0]
-	env, err := ctx.Env(ctx.defaultKind())
+	env, bench, curves, err := ctx.study()
 	if err != nil {
 		return nil, err
 	}
-	bench, err := ctx.Bench(name)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := ctx.Curves(name)
-	if err != nil {
-		return nil, err
-	}
-	return CrossTunerOn(env, bench, curves, search.Names(),
-		campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
-}
-
-// CrossTunerOn fans the named tuners (every registered one when names is
-// nil) over the given environment and workload through the campaign.Sweep
-// worker pool, one row per tuner in the given name order. opt.Seed seeds
-// both the campaigns and the sweep's per-task rand streams; opt.Policy
-// selects the shared provisioning policy.
-func CrossTunerOn(
-	env *campaign.Environment,
-	bench *workload.Benchmark,
-	curves workload.Curves,
-	names []string,
-	opt campaign.Options,
-) ([]CrossTunerRow, error) {
-	if names == nil {
-		names = search.Names()
-	}
-	tasks := env.TunerTasks(bench, curves, names, opt)
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: opt.Seed})
+	names := search.Names()
+	tasks := env.TunerTasks(bench, curves, names, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
+	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: ctx.Opts.Seed})
 	rows := make([]CrossTunerRow, 0, len(results))
 	for i, res := range results {
 		if res.Err != nil {
 			return nil, fmt.Errorf("experiments: tuner %s: %w", res.Key, res.Err)
 		}
 		rep := res.Report
-		pol := opt.Policy
-		if pol == "" {
-			pol = policy.SpotTuneName
-		}
 		rows = append(rows, CrossTunerRow{
 			Tuner:       names[i],
-			Policy:      pol,
+			Policy:      policy.SpotTuneName,
 			Workload:    bench.Name,
 			Cost:        rep.NetCost,
 			JCTHours:    rep.JCT.Hours(),

@@ -8,17 +8,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"spottune/internal/campaign"
-	"spottune/internal/experiments"
 	"spottune/internal/invariants"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
 	"spottune/internal/resilience"
 	"spottune/internal/revpred"
 	"spottune/internal/search"
-	"spottune/internal/workload"
 )
 
 // Options tunes a matrix run.
@@ -56,9 +53,8 @@ type Options struct {
 	// records its events into an obs.Recording handed back on Cell.Trace,
 	// the invariant audit reconciles trace-derived cost attribution against
 	// the ledger and attaches event context to violations, and the
-	// streaming summary aggregates per-cell metrics. Only the streaming
-	// path (Matrix.Stream) threads traces; the legacy buffered Run ignores
-	// this field.
+	// streaming summary aggregates per-cell metrics. Run and Stream both
+	// thread traces.
 	Trace bool
 }
 
@@ -110,10 +106,10 @@ type Cell struct {
 	// (always 0 for Matrix.Run and for single-replicate streams; it does
 	// not appear in the CSV schema, whose row order encodes it).
 	Replicate int
-	experiments.CrossPolicyRow
+	campaign.PolicyRow
 	Violations []invariants.Violation
-	// Trace is the cell's flight recording (nil unless Options.Trace on the
-	// streaming path). Meta carries the cell coordinates.
+	// Trace is the cell's flight recording (nil unless Options.Trace).
+	// Meta carries the cell coordinates.
 	Trace *obs.Recording
 }
 
@@ -231,159 +227,25 @@ type Matrix struct {
 	Specs []Spec
 }
 
-// Run executes every scenario × tuner × strategy × policy combination: per
-// (scenario, tuner, strategy) triple, the policy axis fans out through
-// experiments.CrossPolicyOn (and with it the campaign.Sweep worker pool);
-// per cell, the final simulator state is audited by invariants.Check. Cells
-// come back in scenario-then-tuner-then-strategy-then-policy order,
-// deterministically for a fixed seed.
+// Run executes every scenario × tuner × strategy × policy combination and
+// collects the cells: Stream at one replicate, with an OnCell that appends.
+// Cells come back in scenario-then-tuner-then-strategy-then-policy order,
+// deterministically for a fixed seed and any worker count.
 func (m Matrix) Run(opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if len(m.Specs) == 0 {
-		return nil, fmt.Errorf("scenario: matrix has no specs")
-	}
-	for _, t := range opt.Tuners {
-		if err := validTuner(t); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-	}
-	for _, r := range opt.Strategies {
-		if err := validStrategy(r); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-	}
-	seen := map[string]bool{}
-	for _, s := range m.Specs {
-		if seen[s.Name] {
-			return nil, fmt.Errorf("scenario: duplicate spec name %q", s.Name)
-		}
-		seen[s.Name] = true
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Environments are the expensive part (trace generation + predictor
-	// training); specs differing only in faults share one build.
-	baseEnvs := map[envKey]*campaign.Environment{}
-	benches := map[string]*workload.Benchmark{}
-	curves := map[string]workload.Curves{}
-
 	res := &Result{}
-	for _, raw := range m.Specs {
-		s := raw.withDefaults(opt)
-		base, ok := baseEnvs[s.key()]
-		if !ok {
-			// Build without faults so the cache entry is fault-free;
-			// withFaults layers per-spec hooks onto a copy.
-			bare := s
-			bare.Faults = nil
-			var err error
-			base, err = bare.Environment(opt)
-			if err != nil {
-				return nil, err
-			}
-			baseEnvs[s.key()] = base
-		}
-		env, err := s.withFaults(base)
-		if err != nil {
-			return nil, err
-		}
-
-		bench, ok := benches[s.Workload]
-		if !ok {
-			bench, err = workload.SuiteByName(s.Workload, workload.Config{Seed: opt.Seed, Scale: opt.Scale})
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
-			}
-			benches[s.Workload] = bench
-		}
-		cv, ok := curves[s.Workload]
-		if !ok {
-			if opt.Quick {
-				cv = bench.SyntheticCurves(opt.Seed)
-			} else {
-				cv, err = bench.RecordCurves()
-				if err != nil {
-					return nil, fmt.Errorf("scenario: %s: recording curves: %w", s.Name, err)
-				}
-			}
-			curves[s.Workload] = cv
-		}
-
-		tuners := opt.Tuners
-		if s.Tuner != "" {
-			tuners = []string{s.Tuner}
-		}
-		strategies := opt.Strategies
-		if s.Resilience != "" {
-			strategies = []string{s.Resilience}
-		}
-		for _, tname := range tuners {
-			for _, rname := range strategies {
-				audit := newAuditor(opt)
-				rows, err := experiments.CrossPolicyOn(env, bench, cv, opt.Policies, campaign.Options{
-					Theta:        opt.Theta,
-					Seed:         s.Seed,
-					Tuner:        tname,
-					Resilience:   rname,
-					Deadline:     s.Deadline,
-					Budget:       s.Budget,
-					BaseType:     s.BaseType,
-					PolicyParams: policy.Params{Allocation: s.Allocation},
-					Inspect:      audit.inspect,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("scenario: %s/%s/%s: %w", s.Name, tname, rname, err)
-				}
-				for _, row := range rows {
-					res.Cells = append(res.Cells, Cell{
-						Scenario:       s.Name,
-						Regime:         s.Regime,
-						Tuner:          tname,
-						Strategy:       rname,
-						CrossPolicyRow: row,
-						Violations:     audit.violations[row.Policy],
-					})
-				}
-			}
-		}
+	_, err := m.Stream(StreamOptions{Options: opt, OnCell: func(c Cell) error {
+		res.Cells = append(res.Cells, c)
+		return nil
+	}})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// auditor routes every campaign's final state through invariants.Check,
-// collecting violations per policy. Sweeps run cells concurrently, so the
-// collection is locked.
-type auditor struct {
-	skip       bool
-	mu         sync.Mutex
-	violations map[string][]invariants.Violation
-}
-
-func newAuditor(opt Options) *auditor {
-	return &auditor{skip: opt.SkipInvariants, violations: map[string][]invariants.Violation{}}
-}
-
-// inspect implements campaign.Options.Inspect. It never vetoes the run:
-// violations are reported per cell so one broken combination doesn't hide
-// the rest of the matrix.
-func (a *auditor) inspect(d *campaign.RunDetail) error {
-	if a.skip {
-		return nil
-	}
-	vs := invariants.Check(StateFor(d))
-	if len(vs) > 0 {
-		a.mu.Lock()
-		a.violations[d.Policy] = append(a.violations[d.Policy], vs...)
-		a.mu.Unlock()
-	}
-	return nil
-}
-
 // StateFor assembles the invariant checker's input from a campaign run's
 // final simulator state — the one place the State fields are wired, shared
-// by the matrix auditor and the equivalence suites.
+// by the matrix runner's per-cell audit and the equivalence suites.
 func StateFor(d *campaign.RunDetail) invariants.State {
 	return invariants.State{
 		Ledger:      d.Cluster.Ledger(),

@@ -1,8 +1,8 @@
 // Package scenario is the declarative scenario engine: named market regimes,
 // fault injections, fleet variations, and workload choices compose into
-// reproducible seeded Specs, and a Matrix fans scenario × policy
-// combinations through campaign.Sweep / experiments.CrossPolicy into
-// per-cell cost/JCT/refund tables. Every cell's final simulator state passes
+// reproducible seeded Specs, and a Matrix fans scenario × tuner × policy
+// combinations over a worker pool (Matrix.Stream) into per-cell
+// cost/JCT/refund tables. Every cell's final simulator state passes
 // through invariants.Check, so the matrix is a self-verifying test bed: the
 // paper's claims are exercised not just on the one replayed us-east-1 market
 // but across every market pathology the regime vocabulary can express.

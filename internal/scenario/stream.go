@@ -8,7 +8,6 @@ import (
 
 	"spottune/internal/campaign"
 	"spottune/internal/earlycurve"
-	"spottune/internal/experiments"
 	"spottune/internal/invariants"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
@@ -19,8 +18,8 @@ import (
 
 // replicateStride derives replicate seeds from a spec seed (splitmix64's
 // odd increment, so streams never collide for realistic replicate counts).
-// Replicate 0 uses the spec seed unchanged — the streaming battery at one
-// replicate is the legacy battery, bit for bit.
+// Replicate 0 uses the spec seed unchanged, so a one-replicate grid runs
+// every campaign on its spec's own seed.
 const replicateStride = 0x9E3779B97F4A7C15
 
 // ReplicateSeed is the campaign seed of replicate r of a spec — exported so
@@ -31,13 +30,13 @@ func ReplicateSeed(specSeed uint64, r int) uint64 {
 }
 
 // StreamOptions tunes a streaming matrix run. The embedded Options carry the
-// same axes as Matrix.Run; the streaming fields bound memory and wire the
-// per-cell consumers.
+// grid axes; the streaming fields bound memory and wire the per-cell
+// consumers.
 type StreamOptions struct {
 	Options
 
 	// Replicates is the seed axis: each spec's cell block is repeated this
-	// many times with derived campaign seeds (default 1 — the legacy grid).
+	// many times with derived campaign seeds (default 1).
 	Replicates int
 	// Workers caps concurrent cells (default GOMAXPROCS).
 	Workers int
@@ -109,10 +108,10 @@ type cellJob struct {
 // cells are sharded across a worker pool, each worker reuses one EarlyCurve
 // fit memo (its SoA world) across every cell it runs, and results stream
 // into quantile sketches plus the optional in-order OnCell callback instead
-// of an in-memory cell table. With Replicates == 1 the grid, the per-cell
-// rows, and the invariant audits are identical to Matrix.Run's — pinned by
-// the equivalence suite — while 10^5-cell grids run in the same footprint as
-// the 216-cell battery.
+// of an in-memory cell table, so 10^5-cell grids run in the same footprint as
+// the quick battery. Results do not depend on the worker count. A cell
+// that panics becomes an error naming the cell, and the run drains as on any
+// other cell error.
 func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	o := opt.Options.withDefaults()
 	if len(m.Specs) == 0 {
@@ -279,9 +278,9 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	return summary, nil
 }
 
-// buildBlocks assembles the per-spec shared worlds, reusing base
-// environments across specs that differ only in faults — the same sharing
-// Matrix.Run performs.
+// buildBlocks assembles the per-spec shared worlds. Environments are the
+// expensive part (trace generation + predictor training), so specs that
+// differ only in faults share one fault-free base build.
 func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
 	baseEnvs := map[envKey]*campaign.Environment{}
 	benches := map[string]*workload.Benchmark{}
@@ -339,9 +338,16 @@ func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
 
 // runCell executes one campaign cell against its spec's shared world,
 // auditing the final simulator state in place (no state is retained past the
-// returned Cell).
-func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.PerfCache) (Cell, error) {
+// returned Cell). A panic anywhere in the campaign is recovered into the
+// cell's error, the way campaign.Sweep contains a panicking task.
+func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.PerfCache) (_ Cell, err error) {
 	b := job.block
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("scenario: %s/%s/%s (replicate %d) panicked: %v",
+				b.spec.Name, job.tuner, job.policy, job.rep, r)
+		}
+	}()
 	var violations []invariants.Violation
 	var rec *obs.Recording
 	copt := campaign.Options{
@@ -384,22 +390,12 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 			b.spec.Name, job.tuner, job.policy, job.rep, err)
 	}
 	return Cell{
-		Scenario:  b.spec.Name,
-		Regime:    b.spec.Regime,
-		Tuner:     job.tuner,
-		Strategy:  job.strategy,
-		Replicate: job.rep,
-		CrossPolicyRow: experiments.CrossPolicyRow{
-			Policy:              job.policy,
-			Workload:            b.bench.Name,
-			Cost:                rep.NetCost,
-			JCTHours:            rep.JCT.Hours(),
-			RefundFrac:          rep.RefundFraction(),
-			Deployments:         rep.Deployments,
-			OnDemandDeployments: rep.OnDemandDeployments,
-			Notices:             rep.Notices,
-			Report:              rep,
-		},
+		Scenario:   b.spec.Name,
+		Regime:     b.spec.Regime,
+		Tuner:      job.tuner,
+		Strategy:   job.strategy,
+		Replicate:  job.rep,
+		PolicyRow:  campaign.NewPolicyRow(job.policy, b.bench.Name, rep),
 		Violations: violations,
 		Trace:      rec,
 	}, nil

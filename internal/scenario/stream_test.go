@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 
 	"spottune/internal/policy"
@@ -27,11 +31,12 @@ func streamAll(t *testing.T, m Matrix, opt StreamOptions) ([]Cell, *StreamSummar
 	return cells, sum
 }
 
-// TestMetamorphicStreamEquivalence pins the streaming runner bit-identical
-// to the legacy per-cell path on seeded random scenario specs: same cells in
-// the same order, same costs/JCT/refunds to the last bit, same winner per
-// cell, and agreeing invariant audits — under concurrent workers and the
-// per-worker fit-memo reuse.
+// TestMetamorphicStreamEquivalence: results must not depend on the worker
+// count. On seeded random scenario specs, a one-worker stream and a
+// four-worker stream (per-worker fit memos and perf caches, out-of-order
+// completion) must produce the same cells in the same order — costs, JCT
+// and refunds to the last bit, winners, rankings, decision counts and
+// invariant audits — and byte-identical CSVs.
 func TestMetamorphicStreamEquivalence(t *testing.T) {
 	iters := 3
 	if testing.Short() {
@@ -52,19 +57,16 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 			opt.Tuners = append(opt.Tuners, search.HalvingName)
 		}
 
-		legacy, err := m.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, _ := streamAll(t, m, StreamOptions{Options: opt, Workers: 4})
+		serial, _ := streamAll(t, m, StreamOptions{Options: opt, Workers: 1})
+		parallel, _ := streamAll(t, m, StreamOptions{Options: opt, Workers: 4})
 
-		if len(streamed) != len(legacy.Cells) {
-			t.Fatalf("round %d: %d streamed cells vs %d legacy", i, len(streamed), len(legacy.Cells))
+		if len(parallel) != len(serial) {
+			t.Fatalf("round %d: %d cells on 4 workers vs %d on 1", i, len(parallel), len(serial))
 		}
-		for j, want := range legacy.Cells {
-			got := streamed[j]
+		for j, want := range serial {
+			got := parallel[j]
 			if got.Scenario != want.Scenario || got.Tuner != want.Tuner || got.Policy != want.Policy {
-				t.Fatalf("round %d cell %d: (%s,%s,%s) vs legacy (%s,%s,%s)", i, j,
+				t.Fatalf("round %d cell %d: (%s,%s,%s) vs serial (%s,%s,%s)", i, j,
 					got.Scenario, got.Tuner, got.Policy, want.Scenario, want.Tuner, want.Policy)
 			}
 			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
@@ -78,38 +80,34 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 			if got.Report.Best != want.Report.Best {
 				t.Errorf("round %d cell %d: winner %q vs %q", i, j, got.Report.Best, want.Report.Best)
 			}
-			for k := range want.Report.Ranked {
-				if got.Report.Ranked[k] != want.Report.Ranked[k] {
-					t.Errorf("round %d cell %d: ranking diverges at %d", i, j, k)
-					break
-				}
+			if !slices.Equal(got.Report.Ranked, want.Report.Ranked) {
+				t.Errorf("round %d cell %d: ranking %v vs %v", i, j, got.Report.Ranked, want.Report.Ranked)
 			}
 			if got.Deployments != want.Deployments || got.Notices != want.Notices ||
 				got.OnDemandDeployments != want.OnDemandDeployments {
 				t.Errorf("round %d cell %d: decision counts diverge", i, j)
 			}
 			if len(got.Violations) != len(want.Violations) {
-				t.Errorf("round %d cell %d: %d violations streamed vs %d legacy",
+				t.Errorf("round %d cell %d: %d violations on 4 workers vs %d on 1",
 					i, j, len(got.Violations), len(want.Violations))
 			}
 		}
 		// The rendered CSVs must also agree byte for byte.
-		stream2 := &Result{Cells: streamed}
 		var a, b bytes.Buffer
-		if err := legacy.WriteCSV(&a); err != nil {
+		if err := (&Result{Cells: serial}).WriteCSV(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := stream2.WriteCSV(&b); err != nil {
+		if err := (&Result{Cells: parallel}).WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("round %d: streamed CSV differs from legacy CSV", i)
+			t.Errorf("round %d: 4-worker CSV differs from 1-worker CSV", i)
 		}
 	}
 }
 
 // TestStreamReplicatesAndSummary exercises the seed axis: replicate 0 is the
-// legacy battery bit for bit, later replicates are present in order with
+// one-replicate grid bit for bit, later replicates are present in order with
 // distinct seeds actually changing outcomes, and the summary sketches equal
 // a post-hoc aggregation of the per-cell values (streaming and CSV
 // aggregation cannot disagree).
@@ -145,24 +143,22 @@ func TestStreamReplicatesAndSummary(t *testing.T) {
 			}
 		}
 	}
-	// Replicate 0 must equal the legacy single-run battery.
-	legacy, err := m.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Replicate 0 must equal a one-replicate stream of the same grid.
+	single, _ := streamAll(t, m, StreamOptions{Options: opt, Replicates: 1, Workers: 3})
 	li := 0
 	for _, c := range cells {
 		if c.Replicate != 0 {
 			continue
 		}
-		want := legacy.Cells[li]
+		want := single[li]
 		li++
-		if math.Float64bits(c.Cost) != math.Float64bits(want.Cost) {
-			t.Errorf("replicate 0 cell %s/%s diverges from legacy", c.Scenario, c.Policy)
+		if c.Scenario != want.Scenario || c.Policy != want.Policy ||
+			math.Float64bits(c.Cost) != math.Float64bits(want.Cost) {
+			t.Errorf("replicate 0 cell %s/%s diverges from the one-replicate grid", c.Scenario, c.Policy)
 		}
 	}
-	if li != len(legacy.Cells) {
-		t.Fatalf("matched %d replicate-0 cells, legacy has %d", li, len(legacy.Cells))
+	if li != len(single) {
+		t.Fatalf("matched %d replicate-0 cells, the one-replicate grid has %d", li, len(single))
 	}
 	// Different replicates must actually explore different seeds.
 	varied := false
@@ -193,4 +189,58 @@ func TestStreamReplicatesAndSummary(t *testing.T) {
 	if sum.Violations != 0 {
 		t.Errorf("%d invariant violations on a healthy streamed grid", sum.Violations)
 	}
+}
+
+// panicPolicyName is registered only inside the child process of
+// TestStreamContainsPanickingCell, so no other test sees it.
+const panicPolicyName = "scenario.test/panics"
+
+// panicPolicy panics on its first decision.
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string { return panicPolicyName }
+
+func (panicPolicy) Decide(policy.Context) (policy.Request, error) {
+	panic("injected decide panic")
+}
+
+// TestStreamContainsPanickingCell: a campaign that panics must come back as
+// an error naming its cell from both Stream and Run, not kill the process.
+// The test re-runs itself in a child process that registers the panicking
+// policy — registration is global, and the rest of the suite runs the full
+// registry — and requires the child to exit cleanly.
+func TestStreamContainsPanickingCell(t *testing.T) {
+	const childEnv = "SPOTTUNE_SCENARIO_PANIC_CHILD"
+	if os.Getenv(childEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStreamContainsPanickingCell$", "-test.count=1")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child process failed: %v\n%s", err, out)
+		}
+		return
+	}
+	policy.Register(panicPolicyName, "panics in Decide", func(policy.Params) (policy.Policy, error) {
+		return panicPolicy{}, nil
+	})
+	specs, err := SpecsByName([]string{"baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Matrix{Specs: specs}
+	opt := quickOpts()
+	opt.Policies = []string{policy.SpotTuneName, panicPolicyName, policy.CheapestName}
+	check := func(runner string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: panicking cell returned no error", runner)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "baseline/spottune/"+panicPolicyName) ||
+			!strings.Contains(msg, "panicked") {
+			t.Errorf("%s: error does not name the panicking cell: %v", runner, err)
+		}
+	}
+	_, err = m.Stream(StreamOptions{Options: opt, Workers: 2})
+	check("Stream", err)
+	_, err = m.Run(opt)
+	check("Run", err)
 }
