@@ -28,8 +28,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,45 +53,54 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and executes the command, writing reports to stdout and
+// diagnostics (violations, progress, usage) to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("scenarios", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list      = flag.Bool("list", false, "list available scenarios, regimes, and policies, then exit")
-		names     = flag.String("scenarios", "all", "comma-separated scenario names from the default battery, or 'all'")
-		policies  = flag.String("policies", "all", "comma-separated provisioning policy names, or 'all'")
-		tuners    = flag.String("tuners", search.SpotTuneName, "comma-separated tuner (search strategy) names, or 'all' for every registered tuner")
-		workloadF = flag.String("workload", "LoR", "Table II workload for every cell")
-		seed      = flag.Uint64("seed", 1, "matrix seed; same seed, bit-identical CSV")
-		quick     = flag.Bool("quick", false, "fast mode: synthetic curves, constant revocation predictor, short traces")
-		theta     = flag.Float64("theta", 0.7, "early-shutdown rate θ for every cell")
-		outDir    = flag.String("out", "results", "output directory for scenarios.csv")
-		reps      = flag.Int("replicates", 1, "seed-axis replicates per scenario (each with a derived campaign seed)")
-		stream    = flag.Bool("stream", false, "summary mode: live progress + aggregate percentiles instead of the per-cell table")
-		percell   = flag.Bool("percell", false, "with -stream, still write the per-cell CSV (it is always written otherwise)")
-		stormF    = flag.String("storm", "", "chaos battery: replace -scenarios with seeded storm specs for this regime (see -list), or 'all'")
-		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the -storm schedule generator; same (regime, seed), bit-identical storm")
-		stratsF   = flag.String("strategies", resilience.FixedName, "comma-separated recovery strategy names, or 'all' for every registered strategy")
-		resJSON   = flag.String("resiliencejson", "", "write battery-wide resilience metrics (survival rate, lost-work percentiles, degradation transitions) to this JSON file")
-		trace     = flag.String("trace", "", "flight-recorder output path; turns tracing on (same seed, byte-identical file)")
-		traceFmt  = flag.String("trace-format", "jsonl", "trace format: jsonl, chrome, or all (with 'all', chrome lands next to -trace with a .trace.json suffix)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		list      = fs.Bool("list", false, "list available scenarios, regimes, and policies, then exit")
+		names     = fs.String("scenarios", "all", "comma-separated scenario names from the default battery, or 'all'")
+		policies  = fs.String("policies", "all", "comma-separated provisioning policy names, or 'all'")
+		tuners    = fs.String("tuners", search.SpotTuneName, "comma-separated tuner (search strategy) names, or 'all' for every registered tuner")
+		workloadF = fs.String("workload", "LoR", "Table II workload for every cell")
+		seed      = fs.Uint64("seed", 1, "matrix seed; same seed, bit-identical CSV")
+		quick     = fs.Bool("quick", false, "fast mode: synthetic curves, constant revocation predictor, short traces")
+		theta     = fs.Float64("theta", 0.7, "early-shutdown rate θ for every cell")
+		outDir    = fs.String("out", "results", "output directory for scenarios.csv")
+		reps      = fs.Int("replicates", 1, "seed-axis replicates per scenario (each with a derived campaign seed)")
+		stream    = fs.Bool("stream", false, "summary mode: live progress + aggregate percentiles instead of the per-cell table")
+		percell   = fs.Bool("percell", false, "with -stream, still write the per-cell CSV (it is always written otherwise)")
+		stormF    = fs.String("storm", "", "chaos battery: replace -scenarios with seeded storm specs for this regime (see -list), or 'all'")
+		chaosSeed = fs.Uint64("chaos-seed", 1, "seed for the -storm schedule generator; same (regime, seed), bit-identical storm")
+		stratsF   = fs.String("strategies", resilience.FixedName, "comma-separated recovery strategy names, or 'all' for every registered strategy")
+		resJSON   = fs.String("resiliencejson", "", "write battery-wide resilience metrics (survival rate, lost-work percentiles, degradation transitions) to this JSON file")
+		trace     = fs.String("trace", "", "flight-recorder output path; turns tracing on (same seed, byte-identical file)")
+		traceFmt  = fs.String("trace-format", "jsonl", "trace format: jsonl, chrome, or all (with 'all', chrome lands next to -trace with a .trace.json suffix)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
+		memProf   = fs.String("memprofile", "", "write a heap profile at exit to this file")
 
-		tenants   = flag.Int("tenants", 0, "service mode: run this many multi-tenant campaigns through the sharded world engine instead of the scenario matrix (0 = off)")
-		shards    = flag.Int("shards", 4, "service mode: number of world shards")
-		inflight  = flag.Int("inflight", 8, "service mode: max in-flight campaigns per shard")
-		admission = flag.String("admission", service.AdmissionFIFO, "service mode: admission policy: "+strings.Join(service.AdmissionNames(), ", "))
-		capacity  = flag.Int("capacity", 4, "service mode: shared spot capacity per instance type (0 = uncontended private markets)")
-		surge     = flag.Float64("surge", 0.5, "service mode: demand surge slope — price multiplier slope at full utilization")
-		maxBudget = flag.Float64("max-budget", 0, "service mode: admission budget cap in USD; tenant budgets cycle around the cap so admission control has texture (0 = admit all)")
-		traceTen  = flag.String("trace-tenant", "", "service mode: flight-record exactly this tenant's campaign and write it to -trace (the explain-this-tenant workflow)")
+		tenants   = fs.Int("tenants", 0, "service mode: run this many multi-tenant campaigns through the sharded world engine instead of the scenario matrix (0 = off)")
+		shards    = fs.Int("shards", 4, "service mode: number of world shards")
+		inflight  = fs.Int("inflight", 8, "service mode: max in-flight campaigns per shard")
+		admission = fs.String("admission", service.AdmissionFIFO, "service mode: admission policy: "+strings.Join(service.AdmissionNames(), ", "))
+		capacity  = fs.Int("capacity", 4, "service mode: shared spot capacity per instance type (0 = uncontended private markets)")
+		surge     = fs.Float64("surge", 0.5, "service mode: demand surge slope — price multiplier slope at full utilization")
+		maxBudget = fs.Float64("max-budget", 0, "service mode: admission budget cap in USD; tenant budgets cycle around the cap so admission control has texture (0 = admit all)")
+		traceTen  = fs.String("trace-tenant", "", "service mode: flight-record exactly this tenant's campaign and write it to -trace (the explain-this-tenant workflow)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -106,19 +117,19 @@ func run() error {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios: memprofile:", err)
+				fmt.Fprintln(stderr, "scenarios: memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle allocations so the heap profile reflects live data
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios: memprofile:", err)
+				fmt.Fprintln(stderr, "scenarios: memprofile:", err)
 			}
 		}()
 	}
 
 	if *list {
-		printInventory()
+		printInventory(stdout)
 		return nil
 	}
 
@@ -134,7 +145,7 @@ func run() error {
 			admission: *admission, capacity: *capacity, surge: *surge,
 			maxBudget: *maxBudget, traceTenant: *traceTen,
 			tracePath: *trace, traceFmt: *traceFmt,
-		})
+		}, stdout, stderr)
 	}
 	if *traceTen != "" {
 		return fmt.Errorf("-trace-tenant requires -tenants (service mode)")
@@ -266,7 +277,7 @@ func run() error {
 		resAll = newResAgg()
 	}
 
-	tab := tablePrinter{replicates: *reps, quiet: *stream}
+	tab := tablePrinter{w: stdout, replicates: *reps, quiet: *stream}
 	sopt.OnCell = func(c scenario.Cell) error {
 		if cw != nil {
 			if err := cw.Write(c); err != nil {
@@ -296,13 +307,13 @@ func run() error {
 		}
 		tab.cell(c)
 		for _, v := range c.Violations {
-			fmt.Fprintf(os.Stderr, "%s/%s/%s: invariant violated: %v\n", c.Scenario, c.Tuner, c.Policy, v)
-			printViolationEvents(os.Stderr, v.Events)
+			fmt.Fprintf(stderr, "%s/%s/%s: invariant violated: %v\n", c.Scenario, c.Tuner, c.Policy, v)
+			printViolationEvents(stderr, v.Events)
 		}
 		return nil
 	}
 	if *stream {
-		sopt.Progress = os.Stderr
+		sopt.Progress = stderr
 	}
 	sum, err := scenario.Matrix{Specs: specs}.Stream(sopt)
 	if err != nil {
@@ -315,7 +326,7 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("\nper-cell CSV written to %s\n", path)
+		fmt.Fprintf(stdout, "\nper-cell CSV written to %s\n", path)
 	}
 	if chromeW != nil {
 		if err := chromeW.Close(); err != nil {
@@ -328,25 +339,25 @@ func run() error {
 		}
 	}
 	if *trace != "" {
-		fmt.Printf("flight-recorder trace written to %s (format %s)\n", *trace, *traceFmt)
+		fmt.Fprintf(stdout, "flight-recorder trace written to %s (format %s)\n", *trace, *traceFmt)
 	}
 	if *resJSON != "" {
 		if err := writeResilienceJSON(*resJSON, *stormF, *chaosSeed, resAll, resPer); err != nil {
 			return err
 		}
-		fmt.Printf("resilience metrics written to %s\n", *resJSON)
+		fmt.Fprintf(stdout, "resilience metrics written to %s\n", *resJSON)
 	}
 	if *stream {
-		printSummary(sum)
+		printSummary(stdout, sum)
 	}
 	if sum.Metrics != nil {
-		printMetrics(sum.Metrics)
+		printMetrics(stdout, sum.Metrics)
 	}
 
 	if sum.Violations > 0 {
 		return fmt.Errorf("%d invariant violations across the matrix", sum.Violations)
 	}
-	fmt.Println("invariant audit: every cell sound")
+	fmt.Fprintln(stdout, "invariant audit: every cell sound")
 	return nil
 }
 
@@ -371,7 +382,7 @@ type serviceArgs struct {
 // shared per-type spot capacity with demand-surge pricing. Any capacity
 // oversubscription, per-campaign invariant violation, or failed campaign
 // makes the command exit non-zero — the same audit contract as the matrix.
-func runServiceMode(a serviceArgs) error {
+func runServiceMode(a serviceArgs, stdout, stderr io.Writer) error {
 	if a.traceTenant != "" && a.tracePath == "" {
 		return fmt.Errorf("-trace-tenant needs -trace for the recording")
 	}
@@ -415,7 +426,7 @@ func runServiceMode(a serviceArgs) error {
 	if cfg.Contention {
 		mode = fmt.Sprintf("shared capacity %d/type, surge slope %.2f", a.capacity, a.surge)
 	}
-	fmt.Printf("service: %d tenants on %d shards (in-flight %d, admission %s, %s)\n",
+	fmt.Fprintf(stdout, "service: %d tenants on %d shards (in-flight %d, admission %s, %s)\n",
 		a.tenants, a.shards, a.inflight, a.admission, mode)
 
 	var tenantTrace *obs.Recording
@@ -433,21 +444,21 @@ func runServiceMode(a serviceArgs) error {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("\nadmitted %d, rejected %d, failed %d across %d waves (%.0f campaigns/s)\n",
+	fmt.Fprintf(stdout, "\nadmitted %d, rejected %d, failed %d across %d waves (%.0f campaigns/s)\n",
 		sum.Admitted, sum.Rejected, sum.Failed, sum.Waves,
 		float64(sum.Admitted)/elapsed.Seconds())
-	fmt.Printf("%-12s %10s %10s %10s %10s\n", "metric", "p50", "p90", "p99", "max")
+	fmt.Fprintf(stdout, "%-12s %10s %10s %10s %10s\n", "metric", "p50", "p90", "p99", "max")
 	for _, row := range []struct {
 		name string
 		s    *stats.QuantileSketch
 	}{{"cost_usd", sum.Cost}, {"jct_hours", sum.JCTHours}, {"refund_frac", sum.RefundFrac}} {
-		fmt.Printf("%-12s %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(stdout, "%-12s %10.4f %10.4f %10.4f %10.4f\n",
 			row.name, row.s.Quantile(0.5), row.s.Quantile(0.9), row.s.Quantile(0.99), row.s.Max())
 	}
-	fmt.Printf("total spend $%.2f, cost gini %.3f\n", sum.TotalCost, sum.CostGini)
+	fmt.Fprintf(stdout, "total spend $%.2f, cost gini %.3f\n", sum.TotalCost, sum.CostGini)
 	if a.tenants <= 32 {
-		fmt.Println("\nper-tenant attribution (trace-derived):")
-		if err := obs.AttributeTenants(sum.Trace).WriteTable(os.Stdout); err != nil {
+		fmt.Fprintln(stdout, "\nper-tenant attribution (trace-derived):")
+		if err := obs.AttributeTenants(sum.Trace).WriteTable(stdout); err != nil {
 			return err
 		}
 	}
@@ -478,11 +489,11 @@ func runServiceMode(a serviceArgs) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("%s (%d events) written to %s (format %s)\n", what, rec.Len(), a.tracePath, a.traceFmt)
+		fmt.Fprintf(stdout, "%s (%d events) written to %s (format %s)\n", what, rec.Len(), a.tracePath, a.traceFmt)
 	}
 
 	for _, v := range sum.Capacity {
-		fmt.Fprintf(os.Stderr, "capacity audit: %s: %s\n", v.Code, v.Detail)
+		fmt.Fprintf(stderr, "capacity audit: %s: %s\n", v.Code, v.Detail)
 	}
 	switch {
 	case len(sum.Capacity) > 0:
@@ -492,7 +503,7 @@ func runServiceMode(a serviceArgs) error {
 	case sum.Failed > 0:
 		return fmt.Errorf("%d campaigns failed", sum.Failed)
 	}
-	fmt.Println("invariant audit: every tenant sound")
+	fmt.Fprintln(stdout, "invariant audit: every tenant sound")
 	return nil
 }
 
@@ -511,8 +522,8 @@ func splitArg(s string) []string {
 	return out
 }
 
-func printInventory() {
-	fmt.Println("scenarios (default battery):")
+func printInventory(stdout io.Writer) {
+	fmt.Fprintln(stdout, "scenarios (default battery):")
 	for _, s := range scenario.DefaultSpecs() {
 		extra := ""
 		if len(s.Faults) > 0 {
@@ -522,31 +533,31 @@ func printInventory() {
 			}
 			extra = " + " + strings.Join(kinds, ", ")
 		}
-		fmt.Printf("  %-22s regime %q%s\n", s.Name, s.Regime, extra)
+		fmt.Fprintf(stdout, "  %-22s regime %q%s\n", s.Name, s.Regime, extra)
 	}
-	fmt.Println("\nmarket regimes:")
+	fmt.Fprintln(stdout, "\nmarket regimes:")
 	for _, r := range market.RegimeInfos() {
-		fmt.Printf("  %-12s %s\n", r.Name, r.Doc)
+		fmt.Fprintf(stdout, "  %-12s %s\n", r.Name, r.Doc)
 	}
-	fmt.Println("\nprovisioning policies:")
+	fmt.Fprintln(stdout, "\nprovisioning policies:")
 	for _, p := range policy.Infos() {
-		fmt.Printf("  %-17s %s\n", p.Name, p.Doc)
+		fmt.Fprintf(stdout, "  %-17s %s\n", p.Name, p.Doc)
 	}
-	fmt.Println("\ntuners (search strategies):")
+	fmt.Fprintln(stdout, "\ntuners (search strategies):")
 	for _, t := range search.Infos() {
-		fmt.Printf("  %-18s %s\n", t.Name, t.Doc)
+		fmt.Fprintf(stdout, "  %-18s %s\n", t.Name, t.Doc)
 	}
-	fmt.Println("\nrecovery strategies (-strategies):")
+	fmt.Fprintln(stdout, "\nrecovery strategies (-strategies):")
 	for _, r := range resilience.Infos() {
-		fmt.Printf("  %-10s %s\n", r.Name, r.Doc)
+		fmt.Fprintf(stdout, "  %-10s %s\n", r.Name, r.Doc)
 	}
-	fmt.Println("\nstorm regimes (-storm, chaos battery):")
+	fmt.Fprintln(stdout, "\nstorm regimes (-storm, chaos battery):")
 	for _, s := range scenario.StormInfos() {
-		fmt.Printf("  %-11s %s\n", s.Name, s.Doc)
+		fmt.Fprintf(stdout, "  %-11s %s\n", s.Name, s.Doc)
 	}
-	fmt.Println("\nadmission policies (-admission, service mode via -tenants):")
-	fmt.Printf("  %-14s admit and start tenants in submission order\n", service.AdmissionFIFO)
-	fmt.Printf("  %-14s order tenants by descending fair-share weight before sharding\n", service.AdmissionWeightedFair)
+	fmt.Fprintln(stdout, "\nadmission policies (-admission, service mode via -tenants):")
+	fmt.Fprintf(stdout, "  %-14s admit and start tenants in submission order\n", service.AdmissionFIFO)
+	fmt.Fprintf(stdout, "  %-14s order tenants by descending fair-share weight before sharding\n", service.AdmissionWeightedFair)
 }
 
 // resAgg accumulates resilience outcomes across cells for one recovery
@@ -659,6 +670,7 @@ func writeResilienceJSON(path, storm string, chaosSeed uint64, overall *resAgg, 
 // grouped by (scenario, replicate, tuner) in emission order — the streamed
 // equivalent of the old whole-result table.
 type tablePrinter struct {
+	w          io.Writer
 	replicates int
 	quiet      bool
 	last       string
@@ -673,21 +685,21 @@ func (t *tablePrinter) cell(c scenario.Cell) {
 		if t.replicates > 1 {
 			rep = fmt.Sprintf(", replicate %d", c.Replicate)
 		}
-		fmt.Printf("\n== %s (regime %s, tuner %s, workload %s%s) ==\n", c.Scenario, c.Regime, c.Tuner, c.Workload, rep)
+		fmt.Fprintf(t.w, "\n== %s (regime %s, tuner %s, workload %s%s) ==\n", c.Scenario, c.Regime, c.Tuner, c.Workload, rep)
 		t.last = group
 	}
 	flag := ""
 	if len(c.Violations) > 0 {
 		flag = fmt.Sprintf("  !! %d VIOLATIONS", len(c.Violations))
 	}
-	fmt.Printf("  %-17s cost $%8.3f  JCT %7.2fh  refund %5.1f%%  notices %3d  od %d/%d%s\n",
+	fmt.Fprintf(t.w, "  %-17s cost $%8.3f  JCT %7.2fh  refund %5.1f%%  notices %3d  od %d/%d%s\n",
 		c.Policy, c.Cost, c.JCTHours, 100*c.RefundFrac, c.Notices,
 		c.OnDemandDeployments, c.Deployments, flag)
 }
 
 // printViolationEvents renders a violation's attached flight-recorder
 // context (the last few events relevant to its subject), one line per event.
-func printViolationEvents(w *os.File, events []obs.Event) {
+func printViolationEvents(w io.Writer, events []obs.Event) {
 	for _, e := range events {
 		subject := e.Trial
 		if e.Inst != "" {
@@ -700,30 +712,30 @@ func printViolationEvents(w *os.File, events []obs.Event) {
 
 // printMetrics renders the battery-wide flight-recorder aggregate: exact
 // event counters plus sketch percentiles per histogram.
-func printMetrics(m *obs.Metrics) {
-	fmt.Println("\nflight-recorder metrics (battery-wide):")
+func printMetrics(stdout io.Writer, m *obs.Metrics) {
+	fmt.Fprintln(stdout, "\nflight-recorder metrics (battery-wide):")
 	for _, name := range m.CounterNames() {
-		fmt.Printf("  %-22s %d\n", name, m.Counter(name))
+		fmt.Fprintf(stdout, "  %-22s %d\n", name, m.Counter(name))
 	}
 	hists := m.HistogramNames()
 	if len(hists) == 0 {
 		return
 	}
-	fmt.Printf("  %-22s %8s %10s %10s %10s %10s\n", "histogram", "n", "mean", "p50", "p99", "max")
+	fmt.Fprintf(stdout, "  %-22s %8s %10s %10s %10s %10s\n", "histogram", "n", "mean", "p50", "p99", "max")
 	for _, name := range hists {
 		s := m.Histogram(name)
-		fmt.Printf("  %-22s %8d %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(stdout, "  %-22s %8d %10.4f %10.4f %10.4f %10.4f\n",
 			name, s.Count(), s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
 	}
 }
 
 // printSummary renders the streamed aggregate: exact counts plus sketch
 // percentiles per headline metric.
-func printSummary(sum *scenario.StreamSummary) {
-	fmt.Printf("\nstreamed %d cells, %d violations\n", sum.Cells, sum.Violations)
-	fmt.Printf("%-12s %10s %10s %10s %10s %10s\n", "metric", "mean", "p50", "p90", "p99", "max")
+func printSummary(stdout io.Writer, sum *scenario.StreamSummary) {
+	fmt.Fprintf(stdout, "\nstreamed %d cells, %d violations\n", sum.Cells, sum.Violations)
+	fmt.Fprintf(stdout, "%-12s %10s %10s %10s %10s %10s\n", "metric", "mean", "p50", "p90", "p99", "max")
 	row := func(name string, s *stats.QuantileSketch) {
-		fmt.Printf("%-12s %10.4f %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(stdout, "%-12s %10.4f %10.4f %10.4f %10.4f %10.4f\n",
 			name, s.Mean(), s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99), s.Max())
 	}
 	row("cost_usd", sum.Cost)

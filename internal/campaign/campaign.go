@@ -417,6 +417,21 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 	if err != nil {
 		return nil, err
 	}
+	if opt.World != nil {
+		// A campaign that panics inside a shared world must not leave its
+		// fleet behind: the instances' notice and revoke events would fire
+		// inside a co-resident campaign's clock advance, and their spot
+		// capacity would stay taken. Terminate them, then re-raise for the
+		// caller to report.
+		defer func() {
+			if p := recover(); p != nil {
+				for _, inst := range cluster.RunningInstances() {
+					_ = cluster.Terminate(inst.ID) // running, so it cannot fail
+				}
+				panic(p)
+			}
+		}()
+	}
 	store := cloudsim.NewObjectStore()
 	trials, err := b.Trials(curves, opt.Seed+0xbead)
 	if err != nil {

@@ -1,14 +1,116 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
+	"iter"
 	"math/rand/v2"
 	"runtime"
 	"sync"
 
 	"spottune/internal/core"
 )
+
+// PanicError is a job panic recovered by Fan. It carries only the panic
+// value; the caller labels it with the job it belongs to.
+type PanicError struct{ Value any }
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panicked: %v", e.Value) }
+
+// Fan runs jobs on a pool of workers and hands each job's outcome to emit in
+// job order, on the calling goroutine. It is the one worker pool behind
+// Sweep, the streaming scenario matrix and the multi-tenant service.
+//
+//   - workers (default GOMAXPROCS) bounds concurrency. Each worker calls
+//     newState once and passes that state to every job it runs, so per-worker
+//     caches need no locking. Workers start as jobs arrive, never more than
+//     there are jobs.
+//   - window (at least workers) bounds how far dispatch may run ahead of
+//     emission: at most window jobs are in flight or parked for reordering,
+//     so memory stays flat however many jobs the sequence yields.
+//   - A panic in run becomes a *PanicError passed to emit as the job's error.
+//   - The first error emit returns stops dispatch: jobs already in flight
+//     finish and are dropped, and Fan returns that error.
+func Fan[J, S, R any](jobs iter.Seq[J], workers, window int, newState func() S,
+	run func(S, J) (R, error), emit func(J, R, error) error) error {
+
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	window = max(window, workers)
+	type slot struct { // one job on its way out to a worker and back
+		i   int
+		j   J
+		r   R
+		err error
+	}
+	in := make(chan slot)
+	// Every dispatched job not yet emitted fits in the buffer, so a worker
+	// never blocks handing back its outcome.
+	out := make(chan slot, window)
+	var wg sync.WaitGroup
+	defer func() {
+		close(in)
+		wg.Wait()
+	}()
+	worker := func() {
+		defer wg.Done()
+		st := newState()
+		for o := range in {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						o.err = &PanicError{Value: p}
+					}
+				}()
+				o.r, o.err = run(st, o.j)
+			}()
+			out <- o
+		}
+	}
+
+	parked := make(map[int]slot, window)
+	sent, next := 0, 0
+	var err error
+	// collect parks one outcome and emits every outcome now due in order.
+	collect := func(o slot) {
+		parked[o.i] = o
+		for err == nil {
+			o, ok := parked[next]
+			if !ok {
+				return
+			}
+			delete(parked, next)
+			next++
+			err = emit(o.j, o.r, o.err)
+		}
+	}
+	for j := range jobs {
+		if sent < workers {
+			wg.Add(1)
+			go worker()
+		}
+		for queued := false; !queued && err == nil; {
+			send := in
+			if sent-next >= window {
+				send = nil // window full: only collect
+			}
+			select {
+			case send <- slot{i: sent, j: j}:
+				sent++
+				queued = true
+			case o := <-out:
+				collect(o)
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
+	for err == nil && next < sent {
+		collect(<-out)
+	}
+	return err
+}
 
 // Task is one independent campaign run inside a Sweep: a label for the
 // result row plus the closure that executes it. The rng passed to Run is the
@@ -32,96 +134,37 @@ type SweepOptions struct {
 	Workers int
 	// Seed is the base of every task's private rand stream.
 	Seed uint64
-	// Context, when set, cancels the sweep: tasks not yet handed to a
-	// worker stop dispatching, in-flight tasks run to completion (campaign
-	// runs are not interruptible mid-simulation), and every undispatched
-	// slot reports the context's error. Nil means never cancel.
-	Context context.Context
-	// FailFast cancels the remaining sweep on the first task error: later
-	// undispatched tasks report context.Canceled instead of running. The
-	// failing task's own result is preserved at its slot.
-	FailFast bool
 }
 
-// Sweep runs the tasks on a worker pool and returns their results in task
-// order, regardless of scheduling. Campaigns are independent simulations —
-// each builds its own cluster, clock, and object store — so they parallelize
-// without shared mutable state; environments (markets, grids, trained
-// predictors) are read-only at run time and safe to share across workers.
+// Sweep runs the tasks on a Fan worker pool and returns their results in
+// task order, regardless of scheduling. Campaigns are independent
+// simulations — each builds its own cluster, clock, and object store — so
+// they parallelize without shared mutable state; environments (markets,
+// grids, trained predictors) are read-only at run time and safe to share
+// across workers.
 //
 // Determinism: the i-th task always receives rand.NewPCG(seed, i), and the
 // i-th result slot always holds the i-th task's outcome. A sweep over a
 // fixed environment and seed is therefore reproducible run to run and
-// identical to executing the tasks sequentially.
-//
-// Cancellation (SweepOptions.Context / FailFast) drains rather than aborts:
-// workers finish the task in their hands, then Sweep returns with every
-// never-dispatched slot holding the context error and a nil report.
+// identical to executing the tasks sequentially. A failing or panicking
+// task (a *PanicError) fills only its own slot; every other task still runs.
 func Sweep(tasks []Task, opt SweepOptions) []SweepResult {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 	results := make([]SweepResult, len(tasks))
-	if len(tasks) == 0 {
-		return results
-	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var cancel context.CancelFunc
-	if opt.FailFast {
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	idx := make(chan int)
-	dispatched := make([]bool, len(tasks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t := tasks[i]
-				res := SweepResult{Key: t.Key}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							res.Err = fmt.Errorf("campaign: sweep task %q panicked: %v", t.Key, r)
-						}
-					}()
-					res.Report, res.Err = t.Run(rand.New(rand.NewPCG(opt.Seed, uint64(i))))
-				}()
-				results[i] = res
-				if res.Err != nil && cancel != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range tasks {
-		select {
-		case idx <- i:
-			dispatched[i] = true
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	// Slots never handed to a worker report why the sweep stopped short.
-	if err := ctx.Err(); err != nil {
+	// Every result is retained anyway, so the window spans the whole sweep.
+	_ = Fan(func(yield func(int) bool) {
 		for i := range tasks {
-			if !dispatched[i] {
-				results[i] = SweepResult{Key: tasks[i].Key, Err: err}
+			if !yield(i) {
+				return
 			}
 		}
-	}
+	}, opt.Workers, len(tasks), func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (*core.Report, error) {
+			return tasks[i].Run(rand.New(rand.NewPCG(opt.Seed, uint64(i))))
+		},
+		func(i int, rep *core.Report, err error) error {
+			results[i] = SweepResult{Key: tasks[i].Key, Report: rep, Err: err}
+			return nil
+		})
 	return results
 }
 

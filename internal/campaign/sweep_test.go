@@ -1,12 +1,13 @@
 package campaign
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spottune/internal/core"
 	"spottune/internal/workload"
@@ -139,89 +140,107 @@ func TestSweepMatchesSequentialCampaigns(t *testing.T) {
 	}
 }
 
-// TestSweepCancelMidFlight cancels a 100-run sweep partway through and pins
-// the drain contract: in-flight tasks complete, never-dispatched tasks
-// report the context error with nil reports, and the call returns promptly.
-// Run under -race this also exercises the dispatched-slot bookkeeping.
-func TestSweepCancelMidFlight(t *testing.T) {
-	const n = 100
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var started atomic.Int32
-	release := make(chan struct{})
-	tasks := make([]Task, n)
-	for i := range tasks {
-		tasks[i] = Task{
-			Key: fmt.Sprintf("t%d", i),
-			Run: func(*rand.Rand) (*core.Report, error) {
-				if started.Add(1) == 10 { // 16 workers guarantee 10 concurrent starts
-					cancel() // cancel mid-flight from inside a worker
-					close(release)
-				}
-				<-release // everyone blocks until the canceller fires
-				return &core.Report{}, nil
-			},
-		}
-	}
-	res := Sweep(tasks, SweepOptions{Workers: 16, Seed: 7, Context: ctx})
-	ran, cancelled := 0, 0
-	for i, r := range res {
-		switch {
-		case r.Report != nil && r.Err == nil:
-			ran++
-		case errors.Is(r.Err, context.Canceled):
-			if r.Report != nil {
-				t.Fatalf("slot %d has both a report and a cancel error", i)
+// TestFanOrderWindowAndState pins the pool contract: emit sees every job in
+// job order however the workers interleave; dispatch never runs more than
+// window jobs ahead of emission; each worker's state is used by one job at a
+// time (the unsynchronized counter trips -race otherwise) and the states'
+// job counts add up; a panic becomes a *PanicError for that job only.
+func TestFanOrderWindowAndState(t *testing.T) {
+	const n, workers, window = 200, 4, 8
+	type state struct{ jobs int }
+	var (
+		mu     sync.Mutex
+		states []*state
+	)
+	var started, emitted atomic.Int32
+	next := 0
+	err := Fan(func(yield func(int) bool) {
+		for i := 0; i < n; i++ {
+			if !yield(i) {
+				return
 			}
-			cancelled++
-		default:
-			t.Fatalf("slot %d in impossible state: %+v", i, r)
 		}
+	}, workers, window, func() *state {
+		s := &state{}
+		mu.Lock()
+		states = append(states, s)
+		mu.Unlock()
+		return s
+	}, func(s *state, i int) (int, error) {
+		if ahead := started.Add(1) - emitted.Load(); ahead > window {
+			t.Errorf("job %d dispatched %d ahead of emission (window %d)", i, ahead, window)
+		}
+		s.jobs++
+		if i%7 == 0 {
+			time.Sleep(100 * time.Microsecond) // skew completion order
+		}
+		if i == 13 {
+			panic("kaput")
+		}
+		return i * i, nil
+	}, func(i, sq int, err error) error {
+		if i != next {
+			t.Fatalf("emitted job %d, want %d", i, next)
+		}
+		next++
+		emitted.Add(1)
+		var pe *PanicError
+		switch {
+		case i == 13:
+			if !errors.As(err, &pe) || pe.Value != "kaput" {
+				t.Fatalf("job 13: err %v, want a recovered panic", err)
+			}
+		case err != nil || sq != i*i:
+			t.Fatalf("job %d: got %d, %v", i, sq, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ran+cancelled != n {
-		t.Fatalf("accounted for %d results, want %d", ran+cancelled, n)
+	if next != n {
+		t.Fatalf("emitted %d jobs, want %d", next, n)
 	}
-	if ran < 10 {
-		t.Fatalf("only %d tasks completed; at least the 10 started must drain", ran)
+	total := 0
+	for _, s := range states {
+		total += s.jobs
 	}
-	if cancelled == 0 {
-		t.Fatal("cancellation dispatched every task; expected undispatched slots")
+	if len(states) > workers || total != n {
+		t.Fatalf("%d worker states ran %d jobs, want <= %d states and %d jobs", len(states), total, workers, n)
 	}
 }
 
-// TestSweepFailFast pins first-error semantics: one failing task stops
-// dispatch, its own error is preserved, and trailing slots report
-// context.Canceled so FirstErr still surfaces the root cause first.
-func TestSweepFailFast(t *testing.T) {
+// TestFanEmitErrorStopsDispatch pins first-error semantics: the error emit
+// returns is Fan's result, nothing is emitted after it, and dispatch stops
+// within a window of the failing job.
+func TestFanEmitErrorStopsDispatch(t *testing.T) {
 	boom := errors.New("boom")
-	const n = 50
-	tasks := make([]Task, n)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{
-			Key: fmt.Sprintf("t%d", i),
-			Run: func(*rand.Rand) (*core.Report, error) {
-				if i == 0 {
-					return nil, boom
-				}
-				return &core.Report{}, nil
-			},
+	const workers, window, failAt = 2, 4, 10
+	var ran atomic.Int32
+	emitted := 0
+	err := Fan(func(yield func(int) bool) {
+		for i := 0; ; i++ { // unbounded: only the error ends it
+			if !yield(i) {
+				return
+			}
 		}
-	}
-	res := Sweep(tasks, SweepOptions{Workers: 1, Seed: 1, FailFast: true})
-	if !errors.Is(res[0].Err, boom) {
-		t.Fatalf("failing slot holds %v, want boom", res[0].Err)
-	}
-	cancelled := 0
-	for _, r := range res[1:] {
-		if errors.Is(r.Err, context.Canceled) {
-			cancelled++
+	}, workers, window, func() struct{} { return struct{}{} }, func(_ struct{}, i int) (int, error) {
+		ran.Add(1)
+		return i, nil
+	}, func(i, _ int, _ error) error {
+		emitted++
+		if i == failAt {
+			return boom
 		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Fan returned %v, want boom", err)
 	}
-	if cancelled == 0 {
-		t.Fatal("fail-fast did not cancel any trailing task")
+	if emitted != failAt+1 {
+		t.Fatalf("emitted %d jobs, want %d", emitted, failAt+1)
 	}
-	if err := FirstErr(res); !errors.Is(err, boom) {
-		t.Fatalf("FirstErr = %v, want the root cause", err)
+	if r := ran.Load(); r > failAt+1+window {
+		t.Fatalf("%d jobs ran; dispatch should stop within a window of job %d", r, failAt)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"spottune/internal/campaign"
 	"spottune/internal/earlycurve"
@@ -74,14 +73,6 @@ type StreamSummary struct {
 	Metrics *obs.Metrics
 }
 
-// cellOutcome carries one finished cell from a worker to the in-order
-// emitter.
-type cellOutcome struct {
-	idx  int
-	cell Cell
-	err  error
-}
-
 // specBlock is the shared, read-only world for every cell of one spec:
 // environment (traces, SoA store, predictors), benchmark, and curves.
 type specBlock struct {
@@ -95,7 +86,6 @@ type specBlock struct {
 
 // cellJob locates one cell in the grid.
 type cellJob struct {
-	idx      int
 	block    *specBlock
 	rep      int
 	tuner    string
@@ -105,13 +95,14 @@ type cellJob struct {
 
 // Stream executes the scenario × replicate × tuner × strategy × policy grid with
 // bounded memory: environments are built once per spec and shared read-only,
-// cells are sharded across a worker pool, each worker reuses one EarlyCurve
-// fit memo (its SoA world) across every cell it runs, and results stream
-// into quantile sketches plus the optional in-order OnCell callback instead
-// of an in-memory cell table, so 10^5-cell grids run in the same footprint as
-// the quick battery. Results do not depend on the worker count. A cell
-// that panics becomes an error naming the cell, and the run drains as on any
-// other cell error.
+// cells fan out over a campaign.Fan worker pool whose window keeps dispatch
+// at most 4× the worker count ahead of the in-order emitter, each worker
+// reuses one EarlyCurve fit memo (its SoA world) across every cell it runs,
+// and results stream into quantile sketches plus the optional in-order
+// OnCell callback instead of an in-memory cell table, so 10^5-cell grids run
+// in the same footprint as the quick battery. Results do not depend on the
+// worker count. A cell that fails or panics stops the run with an error
+// naming the cell; cells already in flight finish and are dropped.
 func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	o := opt.Options.withDefaults()
 	if len(m.Specs) == 0 {
@@ -171,109 +162,60 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 		summary.Metrics = obs.NewMetrics()
 	}
 
-	jobs := make(chan cellJob)
-	outcomes := make(chan cellOutcome, workers)
-	stop := make(chan struct{}) // closed on first error: producers/workers drain
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One fit memo and one perf cache per worker: every campaign
-			// this worker runs shares solved EarlyCurve stage fits and
-			// ground-truth step-time curves (both content-addressed and
-			// size-capped, so reuse is bit-identical and bounded).
-			memo := earlycurve.NewFitMemo()
-			perfc := trial.NewPerfCache()
-			for job := range jobs {
-				cell, err := runCell(job, o, memo, perfc)
-				select {
-				case outcomes <- cellOutcome{idx: job.idx, cell: cell, err: err}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-
-	// Producer: enumerate the grid in emission order.
-	go func() {
-		defer close(jobs)
-		idx := 0
+	// Grid order is job order, so the fan-out's in-order emit is OnCell's
+	// deterministic grid order. One fit memo and one perf cache per worker:
+	// every campaign a worker runs shares solved EarlyCurve stage fits and
+	// ground-truth step-time curves (both content-addressed and size-capped,
+	// so reuse is bit-identical and bounded).
+	grid := func(yield func(cellJob) bool) {
 		for _, b := range blocks {
 			for r := 0; r < reps; r++ {
 				for _, tname := range b.tuners {
 					for _, rname := range b.strategies {
 						for _, pname := range o.Policies {
-							select {
-							case jobs <- cellJob{idx: idx, block: b, rep: r, tuner: tname, strategy: rname, policy: pname}:
-							case <-stop:
+							if !yield(cellJob{block: b, rep: r, tuner: tname, strategy: rname, policy: pname}) {
 								return
 							}
-							idx++
 						}
 					}
 				}
 			}
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	// In-order emitter: workers finish cells out of order; a small pending
-	// buffer (bounded by the scheduling skew, not the grid) re-sequences
-	// them so OnCell observes the deterministic grid order.
-	pending := map[int]cellOutcome{}
-	next := 0
-	var firstErr error
-	for out := range outcomes {
-		if firstErr != nil {
-			continue // drain
-		}
-		pending[out.idx] = out
-		for {
-			o2, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if o2.err != nil {
-				firstErr = o2.err
-				close(stop)
-				break
+	}
+	err = campaign.Fan(grid, workers, 4*workers,
+		func() cellState { return cellState{memo: earlycurve.NewFitMemo(), perfc: trial.NewPerfCache()} },
+		func(st cellState, job cellJob) (Cell, error) { return runCell(job, o, st) },
+		func(job cellJob, cell Cell, err error) error {
+			if err != nil {
+				return fmt.Errorf("scenario: %s/%s/%s (replicate %d): %w",
+					job.block.spec.Name, job.tuner, job.policy, job.rep, err)
 			}
 			summary.Cells++
-			summary.Violations += len(o2.cell.Violations)
-			summary.Cost.Add(o2.cell.Cost)
-			summary.JCTHours.Add(o2.cell.JCTHours)
-			summary.RefundFrac.Add(o2.cell.RefundFrac)
-			if summary.Metrics != nil && o2.cell.Trace != nil {
+			summary.Violations += len(cell.Violations)
+			summary.Cost.Add(cell.Cost)
+			summary.JCTHours.Add(cell.JCTHours)
+			summary.RefundFrac.Add(cell.RefundFrac)
+			if summary.Metrics != nil && cell.Trace != nil {
 				// Counters add and sketches merge order-independently, so
 				// the aggregate is worker-count invariant like the cells.
-				summary.Metrics.Merge(obs.CampaignMetrics(o2.cell.Trace))
+				summary.Metrics.Merge(obs.CampaignMetrics(cell.Trace))
 			}
 			if opt.OnCell != nil {
-				if err := opt.OnCell(o2.cell); err != nil {
-					firstErr = fmt.Errorf("scenario: cell %s/%s/%s: %w",
-						o2.cell.Scenario, o2.cell.Tuner, o2.cell.Policy, err)
-					close(stop)
-					break
+				if err := opt.OnCell(cell); err != nil {
+					return fmt.Errorf("scenario: cell %s/%s/%s: %w", cell.Scenario, cell.Tuner, cell.Policy, err)
 				}
 			}
 			if opt.Progress != nil && (summary.Cells%progressEvery == 0 || summary.Cells == total) {
 				fmt.Fprintf(opt.Progress, "\rstream: %d/%d cells, %d violations",
 					summary.Cells, total, summary.Violations)
 			}
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if opt.Progress != nil && firstErr == nil {
+	if opt.Progress != nil {
 		fmt.Fprintln(opt.Progress)
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return summary, nil
 }
@@ -336,18 +278,17 @@ func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
 	return blocks, nil
 }
 
+// cellState is one stream worker's campaign caches.
+type cellState struct {
+	memo  *earlycurve.FitMemo
+	perfc *trial.PerfCache
+}
+
 // runCell executes one campaign cell against its spec's shared world,
 // auditing the final simulator state in place (no state is retained past the
-// returned Cell). A panic anywhere in the campaign is recovered into the
-// cell's error, the way campaign.Sweep contains a panicking task.
-func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.PerfCache) (_ Cell, err error) {
+// returned Cell).
+func runCell(job cellJob, o Options, st cellState) (Cell, error) {
 	b := job.block
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("scenario: %s/%s/%s (replicate %d) panicked: %v",
-				b.spec.Name, job.tuner, job.policy, job.rep, r)
-		}
-	}()
 	var violations []invariants.Violation
 	var rec *obs.Recording
 	copt := campaign.Options{
@@ -367,8 +308,8 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 		// its perf cache shares ground-truth step curves across same-seed
 		// cells; both reuses are bit-identical to cold builds, so this
 		// changes wall-clock only.
-		Trend:     &earlycurve.Predictor{Memo: memo},
-		PerfCache: perfc,
+		Trend:     &earlycurve.Predictor{Memo: st.memo},
+		PerfCache: st.perfc,
 	}
 	if !o.SkipInvariants || o.Trace {
 		copt.Inspect = func(d *campaign.RunDetail) error {
@@ -386,8 +327,7 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 	}
 	rep, err := b.env.RunPolicy(b.bench, b.curves, copt)
 	if err != nil {
-		return Cell{}, fmt.Errorf("scenario: %s/%s/%s (replicate %d): %w",
-			b.spec.Name, job.tuner, job.policy, job.rep, err)
+		return Cell{}, err
 	}
 	return Cell{
 		Scenario:   b.spec.Name,

@@ -1,23 +1,25 @@
 // Package service is the sharded multi-tenant world engine: it schedules
 // thousands of concurrent tenant campaigns onto a small number of world
-// shards, each shard owning one discrete-event clock, one shared spot-market
-// capacity domain, and a run queue advanced cooperatively in next-event
-// order.
+// shards. Each shard runs its admitted tenants in waves; a wave owns one
+// discrete-event clock and one shared spot-market capacity domain, and its
+// campaigns advance cooperatively in next-event order.
 //
 // The shape deliberately inverts campaign.Sweep. A sweep runs independent
 // campaigns in parallel, each inside its own private universe; the service
-// runs co-resident campaigns inside one universe per shard, serialized by an
+// runs co-resident campaigns inside one universe per wave, serialized by an
 // arbiter token so their fleets can share — and contend for — the same
 // per-type spot capacity and demand-priced market (cloudsim.CapacityDomain).
 // With contention disabled the worlds decouple exactly, and per-tenant
 // results are bit-identical to solo campaign runs for any shard count: the
-// metamorphic pin the tests enforce.
+// metamorphic pin the tests enforce. A tenant that panics fails alone, as a
+// Result carrying a *campaign.PanicError.
 //
-// Memory is bounded per shard, not per tenant: one event-node pool and one
-// curve-fit memo per shard, one ground-truth perf cache per in-flight slot,
-// and results stream out through an in-order emitter exactly like the
-// scenario matrix runner — a 10k-tenant day holds shard-count × in-flight
-// state, never 10k campaign states.
+// Waves run on the same campaign.Fan worker pool as Sweep and the scenario
+// matrix: one worker per shard, each owning one event-node pool, one
+// curve-fit memo and one ground-truth perf cache per in-flight slot, and at
+// most two waves per shard dispatched ahead of in-order delivery. A
+// 10k-tenant day therefore holds shard-count × in-flight state, never 10k
+// campaign states.
 package service
 
 import (
@@ -87,9 +89,9 @@ const (
 
 // Config tunes one service run.
 type Config struct {
-	// Shards is the number of independent world shards (default 1). Each
-	// shard owns its own clock epoch, capacity domain, node pool, and fit
-	// memo; tenants are assigned round-robin in admission order.
+	// Shards is the number of world shards (default 1): tenants are
+	// assigned round-robin in admission order, and that many waves run at
+	// once, each on a worker with its own node pool and fit memo.
 	Shards int
 	// MaxInFlight caps concurrently-open campaigns per shard (default 8):
 	// a shard runs its tenants in waves of this size, each wave sharing
@@ -163,10 +165,10 @@ type Result struct {
 	Violations []invariants.Violation
 	// Trace is the tenant's campaign flight recording (TraceTenant only).
 	Trace *obs.Recording
-	// Err is the campaign error, nil on success.
+	// Err is the campaign error, nil on success. A tenant whose campaign
+	// panicked carries a *campaign.PanicError naming the tenant and is
+	// counted in Summary.Failed; its co-residents are unaffected.
 	Err error
-
-	emit int // admission position: the emitter's ordering key
 }
 
 // Summary aggregates a service run without retaining per-tenant state.
@@ -178,7 +180,8 @@ type Summary struct {
 	Waves    int
 	// Violations counts per-campaign invariant findings across tenants;
 	// Capacity holds the cross-tenant capacity-oversubscription audit's
-	// findings (one sweep per contended wave).
+	// findings (one sweep per contended wave), in wave-major order: every
+	// shard's wave 0, then every wave 1, and so on, whatever the scheduling.
 	Violations int
 	Capacity   []invariants.Violation
 	// Cost/JCTHours/RefundFrac sketch the per-tenant distributions.
@@ -193,62 +196,16 @@ type Summary struct {
 	Trace *obs.Recording
 }
 
-// pendingTenant is one admitted tenant scheduled onto a shard.
-type pendingTenant struct {
-	t     Tenant
-	index int // submission index
-	emit  int // admission position: the emitter's ordering key
-	rank  int // admitted-only rank: the backpressure key
-	wave  int
-	slot  int // in-wave slot = per-shard PerfCache identity
-}
-
-// flow is the emitter-side backpressure valve: shards may not open a wave
-// whose last admitted rank runs more than a window ahead of the admitted
-// results already delivered, so the reorder buffer of campaign reports is
-// bounded by the window instead of growing with cross-shard completion
-// skew. Ranks stripe round-robin across shards, so the wave holding the
-// minimum undelivered rank spans at most shards×in-flight ranks; the
-// window is 2× that — it never deadlocks and rarely even blocks.
-type flow struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	delivered int
-}
-
-func newFlow() *flow {
-	f := &flow{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// advance publishes the delivery high-water mark (admitted results emitted).
-func (f *flow) advance(n int) {
-	f.mu.Lock()
-	f.delivered = n
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// wait blocks until maxRank is within window of the delivery mark.
-func (f *flow) wait(maxRank, window int) {
-	f.mu.Lock()
-	for maxRank-f.delivered >= window {
-		f.cond.Wait()
-	}
-	f.mu.Unlock()
-}
-
-// shardState is the per-shard bounded working set: the event-node pool and
-// fit memo persist across the shard's whole run; perf caches are per
-// in-flight slot because ground-truth curves are world-keyed (a slot hosts
-// one tenant per wave, so its cache is never shared mid-campaign).
-type shardState struct {
-	idx   int
-	queue []pendingTenant
-	pool  *simclock.NodePool
-	memo  *earlycurve.FitMemo
-	perf  []*trial.PerfCache
+// waveState is one worker's bounded working set, reused by every wave the
+// worker runs: the event-node pool and fit memo persist across waves; perf
+// caches are per in-flight slot because ground-truth curves are world-keyed
+// (a slot hosts one tenant per wave, so its cache is never shared
+// mid-campaign). All three are content-addressed, so which worker runs a
+// wave never changes its results.
+type waveState struct {
+	pool *simclock.NodePool
+	memo *earlycurve.FitMemo
+	perf []*trial.PerfCache
 }
 
 // Run executes the tenant battery against the environment and streams
@@ -296,68 +253,75 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 		})
 	}
 
-	// Admission caps, shard assignment, and wave layout.
-	shards := make([]*shardState, cfg.Shards)
-	for s := range shards {
-		shards[s] = &shardState{
-			idx:  s,
-			pool: simclock.NewNodePool(),
-			memo: earlycurve.NewFitMemo(),
-			perf: make([]*trial.PerfCache, cfg.MaxInFlight),
-		}
-		for k := range shards[s].perf {
-			shards[s].perf[k] = trial.NewPerfCache()
-		}
+	// Admission caps and shard/wave placement, decided up front. Wave -1
+	// marks a rejected tenant.
+	type placement struct {
+		shard, wave int
+		reason      string
 	}
-	type decision struct {
-		admitted bool
-		reason   string
-		shard    int
-		wave     int
-		emit     int // admission position: deterministic emission order
-	}
-	decisions := make([]decision, len(tens))
-	next := 0 // admitted counter: shard round-robin position
-	for pos, i := range order {
+	placed := make([]placement, len(tens))
+	queues := make([][]int, cfg.Shards) // submission indexes
+	next := 0                           // admitted counter: shard round-robin position
+	for _, i := range order {
 		t := tens[i]
-		d := decision{shard: next % cfg.Shards, wave: -1, emit: pos}
+		p := placement{shard: next % cfg.Shards, wave: -1}
 		switch {
 		case cfg.MaxBudget > 0 && (t.Budget <= 0 || t.Budget > cfg.MaxBudget):
-			d.reason = ReasonBudgetCap
+			p.reason = ReasonBudgetCap
 		case cfg.MaxDeadline > 0 && (t.Deadline <= 0 || t.Deadline > cfg.MaxDeadline):
-			d.reason = ReasonDeadlineCap
+			p.reason = ReasonDeadlineCap
 		default:
-			d.admitted = true
-			sh := shards[d.shard]
-			qpos := len(sh.queue)
-			d.wave = qpos / cfg.MaxInFlight
-			sh.queue = append(sh.queue, pendingTenant{
-				t: t, index: i, emit: pos, rank: next, wave: d.wave, slot: qpos % cfg.MaxInFlight,
-			})
+			p.wave = len(queues[p.shard]) / cfg.MaxInFlight
+			queues[p.shard] = append(queues[p.shard], i)
 			next++
 		}
-		decisions[i] = d
+		placed[i] = p
+	}
+	// result is tenant i's Result before its campaign runs; a rejected
+	// tenant's is final.
+	result := func(i int) Result {
+		p := placed[i]
+		return Result{Tenant: tens[i], Index: i, Shard: p.shard, Wave: p.wave, Admitted: p.wave >= 0, Reason: p.reason}
+	}
+	// The fan-out's jobs are waves — up to MaxInFlight consecutive tenants
+	// of one shard's queue — in wave-major order: every shard's wave 0, then
+	// every wave 1, and so on (round-robin from shard 0 makes its queue the
+	// longest). Admitted ranks stripe across shards in the same order, so
+	// this is admission order at wave granularity. A wave's Results are
+	// built as it is dispatched and completed in place by runWave.
+	waves := func(yield func([]Result) bool) {
+		for lo := 0; lo < len(queues[0]); lo += cfg.MaxInFlight {
+			for _, q := range queues {
+				var wave []Result
+				for _, i := range q[min(lo, len(q)):min(lo+cfg.MaxInFlight, len(q))] {
+					wave = append(wave, result(i))
+				}
+				if len(wave) > 0 && !yield(wave) {
+					return
+				}
+			}
+		}
 	}
 
 	var rec *obs.Recording
 	if cfg.Trace {
 		rec = obs.NewRecording(obs.Meta{Scenario: "service", Workload: bench.Name})
-		// Admission events in submission order: the decision set is a pure
+		// Admission events in submission order: placement is a pure
 		// function of (tenants, config), so the trace prefix is stable for
 		// any shard count.
-		for i, d := range decisions {
-			if d.admitted {
+		for i, p := range placed {
+			if p.wave >= 0 {
 				rec.Emit(obs.Event{VT: env.CampaignStart, Kind: obs.KindTenantAdmit,
-					Trial: tens[i].ID, Label: cfg.Admission, A: tens[i].Weight, N: int64(d.shard)})
+					Trial: tens[i].ID, Label: cfg.Admission, A: tens[i].Weight, N: int64(p.shard)})
 			} else {
 				rec.Emit(obs.Event{VT: env.CampaignStart, Kind: obs.KindTenantReject,
-					Trial: tens[i].ID, Label: d.reason, N: int64(d.shard)})
+					Trial: tens[i].ID, Label: p.reason, N: int64(p.shard)})
 			}
 		}
 	}
 
 	// The contended region: one capacity-capped catalog shared read-only by
-	// every shard; each wave gets its own fresh demand domain.
+	// every wave; each wave gets its own fresh demand domain.
 	var capCat *market.Catalog
 	if cfg.Contention {
 		capCat = env.Catalog.WithCapacity(cfg.Capacity)
@@ -370,23 +334,22 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 		RefundFrac: stats.NewQuantileSketch(stats.DefaultSketchAlpha),
 		Trace:      rec,
 	}
-	var capMu sync.Mutex // guards sum.Capacity and sum.Waves (shard goroutines)
-
-	// In-order emitter: results arrive from any shard, are parked by
-	// admission position, and are delivered (callback, aggregation, service
-	// trace) strictly in admission order from this one goroutine. The flow
-	// valve keeps the reorder buffer bounded: no shard opens a wave more
-	// than a window of emissions ahead of the delivery mark.
-	fl := newFlow()
-	window := 2 * cfg.Shards * cfg.MaxInFlight
-	results := make(chan Result, 64)
-	emitterDone := make(chan struct{})
+	// Wave results are parked by submission index and delivered strictly in
+	// admission order, rejected tenants interleaved at their position.
 	var costs []float64
-	go func() {
-		defer close(emitterDone)
-		pending := make(map[int]Result)
-		nextIdx := 0
-		deliver := func(r Result) {
+	parked := make(map[int]Result)
+	pos := 0 // admission position of the next delivery
+	deliverDue := func() {
+		for ; pos < len(order); pos++ {
+			i := order[pos]
+			r, ok := parked[i]
+			if placed[i].wave < 0 {
+				r, ok = result(i), true
+			}
+			if !ok {
+				return
+			}
+			delete(parked, i)
 			switch {
 			case !r.Admitted:
 				sum.Rejected++
@@ -413,91 +376,72 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 				cfg.OnResult(r)
 			}
 		}
-		admittedOut := 0
-		for r := range results {
-			pending[r.emit] = r
-			for {
-				r, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
-				nextIdx++
-				if r.Admitted {
-					admittedOut++
-				}
-				deliver(r)
-			}
-			fl.advance(admittedOut)
-		}
-	}()
-
-	// Rejected tenants resolve immediately — no cluster, no ledger.
-	for i, d := range decisions {
-		if !d.admitted {
-			results <- Result{Tenant: tens[i], Index: i, Shard: d.shard, Wave: -1, Reason: d.reason, emit: d.emit}
-		}
 	}
 
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		if len(sh.queue) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shardState) {
-			defer wg.Done()
-			for lo := 0; lo < len(sh.queue); lo += cfg.MaxInFlight {
-				hi := lo + cfg.MaxInFlight
-				if hi > len(sh.queue) {
-					hi = len(sh.queue)
-				}
-				fl.wait(sh.queue[hi-1].rank, window)
-				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capCat, cfg, results)
-				capMu.Lock()
-				sum.Waves++
-				sum.Capacity = append(sum.Capacity, caps...)
-				capMu.Unlock()
+	// One worker per shard, and at most two waves per shard dispatched
+	// ahead of delivery, which bounds the reorder buffer of campaign
+	// reports by 2 × Shards × MaxInFlight whatever the cross-shard skew.
+	err := campaign.Fan(waves, cfg.Shards, 2*cfg.Shards,
+		func() *waveState {
+			st := &waveState{pool: simclock.NewNodePool(), memo: earlycurve.NewFitMemo(),
+				perf: make([]*trial.PerfCache, cfg.MaxInFlight)}
+			for k := range st.perf {
+				st.perf[k] = trial.NewPerfCache()
 			}
-		}(sh)
+			return st
+		},
+		func(st *waveState, wave []Result) ([]invariants.Violation, error) {
+			return runWave(env, bench, curves, st, wave, capCat, cfg), nil
+		},
+		func(wave []Result, capacity []invariants.Violation, err error) error {
+			if err != nil {
+				return fmt.Errorf("service: shard %d wave %d: %w", wave[0].Shard, wave[0].Wave, err)
+			}
+			sum.Waves++
+			sum.Capacity = append(sum.Capacity, capacity...)
+			for _, r := range wave {
+				parked[r.Index] = r
+			}
+			deliverDue()
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	close(results)
-	<-emitterDone
-
+	deliverDue() // rejections after the last admitted tenant, or all of them
 	sum.CostGini = stats.Gini(costs)
 	return sum, nil
 }
 
-// runWave executes one shard wave: a fresh clock epoch at the campaign
-// start, a fresh capacity domain, and one goroutine per tenant serialized by
-// the arbiter token in next-event order. Returns the wave's cross-tenant
-// capacity audit findings (contention mode only).
+// runWave executes one shard wave, completing its tenants' Results in
+// place: a fresh clock epoch at the campaign start, a fresh capacity domain,
+// and one goroutine per tenant serialized by the arbiter token in next-event
+// order. A tenant that panics fails alone: the panic becomes its Result's
+// error and the token passes on, so the wave drains. Returns the wave's
+// cross-tenant capacity audit findings (contention mode only).
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, wave []pendingTenant, capCat *market.Catalog, cfg Config, results chan<- Result) []invariants.Violation {
+	st *waveState, tenants []Result, capCat *market.Catalog, cfg Config) []invariants.Violation {
 
 	clk := simclock.NewVirtual(env.CampaignStart)
-	clk.SetNodePool(sh.pool)
+	clk.SetNodePool(st.pool)
 	world := &campaign.World{Clock: clk}
 	if capCat != nil {
 		world.Catalog = capCat
 		world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
 	}
-	arb := newArbiter(len(wave), env.CampaignStart.UnixNano())
+	arb := newArbiter(len(tenants), env.CampaignStart.UnixNano())
 	clk.SetAdvanceGate(arb.gate)
 
-	ledgers := make([]*cloudsim.Ledger, len(wave))
+	ledgers := make([]*cloudsim.Ledger, len(tenants))
 	var wg sync.WaitGroup
-	for k := range wave {
+	for k := range tenants {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			p := wave[k]
 			arb.acquire(k)
-			res := runTenant(env, bench, curves, sh, p, world, cfg, &ledgers[k])
-			arb.finish(k)
-			results <- res
-		}(k)
+			defer arb.finish(k)
+			tenants[k] = runTenant(env, bench, curves, st, k, tenants[k], world, cfg, &ledgers[k])
+		}()
 	}
 	arb.kick()
 	wg.Wait()
@@ -514,31 +458,39 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 
 // runTenant executes one tenant campaign inside the wave's shared world.
 // It runs entirely under the arbiter token (yielding at every clock
-// advance), so the shard's memo, the slot's perf cache, and the shared
-// cluster state are never touched concurrently.
+// advance), so the worker's memo, the slot's perf cache, and the shared
+// cluster state are never touched concurrently. A panic is recovered into
+// the Result's error still under the token; campaign.Environment.RunPolicy
+// has already terminated the tenant's fleet, so none of its events fire
+// inside a co-resident's advance and its capacity is released.
 func runTenant(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, p pendingTenant, world *campaign.World, cfg Config, ledger **cloudsim.Ledger) Result {
+	st *waveState, slot int, placed Result, world *campaign.World, cfg Config, ledger **cloudsim.Ledger) (res Result) {
 
-	res := Result{Tenant: p.t, Index: p.index, Shard: sh.idx, Wave: p.wave, Admitted: true, emit: p.emit}
+	res, t := placed, placed.Tenant
+	defer func() {
+		if v := recover(); v != nil {
+			res.Err = fmt.Errorf("service: tenant %s: %w", t.ID, &campaign.PanicError{Value: v})
+		}
+	}()
 	opt := campaign.Options{
-		Theta:      p.t.Theta,
-		Seed:       p.t.Seed,
-		Policy:     p.t.Policy,
-		Tuner:      p.t.Tuner,
-		Resilience: p.t.Resilience,
-		Deadline:   p.t.Deadline,
-		Budget:     p.t.Budget,
-		BaseType:   p.t.BaseType,
-		Trend:      &earlycurve.Predictor{Memo: sh.memo},
-		PerfCache:  sh.perf[p.slot],
+		Theta:      t.Theta,
+		Seed:       t.Seed,
+		Policy:     t.Policy,
+		Tuner:      t.Tuner,
+		Resilience: t.Resilience,
+		Deadline:   t.Deadline,
+		Budget:     t.Budget,
+		BaseType:   t.BaseType,
+		Trend:      &earlycurve.Predictor{Memo: st.memo},
+		PerfCache:  st.perf[slot],
 		World:      world,
-		Trace:      cfg.TraceTenant != "" && cfg.TraceTenant == p.t.ID,
+		Trace:      cfg.TraceTenant != "" && cfg.TraceTenant == t.ID,
 	}
 	opt.Inspect = func(d *campaign.RunDetail) error {
 		*ledger = d.Cluster.Ledger()
 		if res.Trace = d.Trace; res.Trace != nil {
 			res.Trace.Meta.Scenario = "service"
-			res.Trace.Meta.Replicate = p.index
+			res.Trace.Meta.Replicate = res.Index
 		}
 		if !cfg.SkipInvariants {
 			res.Violations = invariants.Check(scenario.StateFor(d))

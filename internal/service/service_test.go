@@ -1,20 +1,25 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
 	"spottune/internal/campaign"
 	"spottune/internal/core"
 	"spottune/internal/obs"
+	"spottune/internal/policy"
 	"spottune/internal/workload"
 )
 
 // testWorld builds the small shared fixture: a 5-day calm market with a
 // constant predictor and quick synthetic curves.
-func testWorld(t *testing.T) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
+func testWorld(t testing.TB) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
 	t.Helper()
 	env, err := campaign.NewEnvironment(campaign.EnvOptions{
 		Seed: 11, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant,
@@ -238,6 +243,82 @@ func TestServiceTraceTenant(t *testing.T) {
 			}
 		} else if r.Trace != nil {
 			t.Fatalf("untraced tenant %s has a recording", r.Tenant.ID)
+		}
+	}
+}
+
+// panicPolicyName is registered only inside the child process of
+// TestServiceContainsPanickingTenant, so no other test sees it.
+const panicPolicyName = "service.test/panics-on-redeploy"
+
+// panicOnRedeploy bids exactly the current spot price of spottune's pick,
+// so its first instance is noticed at the first price rise, and panics on
+// the redeploy that follows: the tenant dies inside the notice window, with
+// the noticed instance still running and its revoke event pending on the
+// wave's shared clock.
+type panicOnRedeploy struct{ inner policy.Policy }
+
+func (panicOnRedeploy) Name() string { return panicPolicyName }
+
+func (p panicOnRedeploy) Decide(ctx policy.Context) (policy.Request, error) {
+	if ctx.Trial.LastRevoked != "" {
+		panic("injected redeploy panic")
+	}
+	req, err := p.inner.Decide(ctx)
+	if err == nil && !req.OnDemand {
+		req.MaxPrice, err = ctx.Market.CurrentPrice(req.TypeName)
+	}
+	return req, err
+}
+
+// TestServiceContainsPanickingTenant: a tenant whose campaign panics must
+// come back as a failed Result naming it, while its wave drains and every
+// other tenant's economics stay bit-identical to a solo run. The test
+// re-runs itself in a child process that registers the panicking policy —
+// registration is global — and requires the child to exit cleanly.
+func TestServiceContainsPanickingTenant(t *testing.T) {
+	const childEnv = "SPOTTUNE_SERVICE_PANIC_CHILD"
+	if os.Getenv(childEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestServiceContainsPanickingTenant$", "-test.count=1")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child process failed: %v\n%s", err, out)
+		}
+		return
+	}
+	policy.Register(panicPolicyName, "panics on its first redeploy after a notice", func(p policy.Params) (policy.Policy, error) {
+		inner, err := policy.New(policy.SpotTuneName, p)
+		return panicOnRedeploy{inner: inner}, err
+	})
+	env, bench, curves := testWorld(t)
+	tenants := DefaultBattery(8, 11)
+	const dead = 4 // shares wave 0 of shard 0 with tenants 0 and 2
+	tenants[dead].Policy = panicPolicyName
+
+	sum, got := runService(t, env, bench, curves, tenants, Config{Shards: 2, MaxInFlight: 3})
+	if sum.Failed != 1 || sum.Admitted != len(tenants)-1 || len(got) != len(tenants) {
+		t.Fatalf("summary %+v with %d results, want 1 failed and %d admitted", sum, len(got), len(tenants)-1)
+	}
+	for i, r := range got {
+		if r.Index != i {
+			t.Fatalf("results out of submission order at %d: %+v", i, r)
+		}
+		if i == dead {
+			var pe *campaign.PanicError
+			if !errors.As(r.Err, &pe) || !strings.Contains(r.Err.Error(), r.Tenant.ID) || r.Report != nil {
+				t.Fatalf("panicking tenant not contained: err %v, report %v", r.Err, r.Report)
+			}
+			continue
+		}
+		if r.Err != nil {
+			t.Fatalf("tenant %s failed: %v", r.Tenant.ID, r.Err)
+		}
+		solo, err := env.RunPolicy(bench, curves, campaign.Options{Theta: r.Tenant.Theta, Seed: r.Tenant.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportKey(r.Report), reportKey(solo); got != want {
+			t.Errorf("tenant %s diverged from its solo run:\n service %s\n solo    %s", r.Tenant.ID, got, want)
 		}
 	}
 }
