@@ -8,6 +8,7 @@ import (
 
 	"spottune/internal/golden"
 	"spottune/internal/policy"
+	"spottune/internal/resilience"
 	"spottune/internal/search"
 )
 
@@ -36,4 +37,43 @@ func TestGoldenQuickBattery(t *testing.T) {
 			c.Report.Best, len(c.Violations))
 	}
 	golden.Check(t, "battery.golden", buf.Bytes())
+}
+
+// TestGoldenStormBattery pins the chaos battery — every storm spec at seed 1
+// × every registered tuner × every recovery strategy × every registered
+// policy — to testdata/storm.golden. Storm specs are the only ones with a
+// deadline, so this is the golden that exercises the slack projection and
+// the degradation ladder, plus the blackout retry and give-up paths.
+func TestGoldenStormBattery(t *testing.T) {
+	specs, err := StormSpecs(StormAll, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Matrix{Specs: specs}.Run(Options{
+		Seed:       1,
+		Quick:      true,
+		Tuners:     search.Names(),
+		Strategies: resilience.Names(),
+		Policies:   policy.Names(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "# scenario tuner strategy policy cost jct_hours refund deployments on_demand notices revocations best violations level transitions lost_steps migrations gave_up blackout_retries")
+	for _, c := range res.Cells {
+		r := c.Report
+		retries := 0
+		for _, n := range r.BlackoutRetries {
+			retries += n
+		}
+		fmt.Fprintf(&buf, "%s %s %s %s %016x %016x %016x %d %d %d %d %s %d %d %d %d %d %d %d\n",
+			c.Scenario, c.Tuner, c.Strategy, c.Policy,
+			math.Float64bits(c.Cost), math.Float64bits(c.JCTHours), math.Float64bits(r.Refund),
+			c.Deployments, c.OnDemandDeployments, c.Notices, r.Revocations,
+			r.Best, len(c.Violations),
+			r.DegradationLevel, r.DegradationTransitions, r.LostSteps, r.Migrations,
+			len(r.GaveUp), retries)
+	}
+	golden.Check(t, "storm.golden", buf.Bytes())
 }
