@@ -190,7 +190,7 @@ type segment struct {
 
 // assignment is one live (trial, instance) pairing.
 type assignment struct {
-	tr          *trial.Replay
+	st          *trialState
 	inst        *cloudsim.Instance
 	deployedAt  time.Time
 	busyAt      time.Time // boot + restore complete
@@ -221,6 +221,88 @@ type assignment struct {
 	obsSteps float64
 }
 
+// trialState is everything the orchestrator knows about one submitted
+// trial. The zero value of every recovery field means "nothing pending".
+type trialState struct {
+	tr *trial.Replay
+	// a is the trial's assignment in the active round: live, or noticed or
+	// ended and waiting for the next sweep (nil when there is none).
+	a *assignment
+	// round is the number of the last round that directed the trial, and
+	// limit that round's step cap.
+	round    int
+	limit    int
+	finished bool
+
+	// deployCount/spotFailures feed policy.TrialInfo: total deployments,
+	// and the consecutive spot misfortunes — segments that ended in a
+	// revocation notice plus blackout-rejected spot requests — (cleared
+	// when a spot segment ends cleanly — completion or proactive restart —
+	// but not by on-demand segments, which say nothing about the spot
+	// market).
+	deployCount  int
+	spotFailures int
+
+	// noticedAt is the trial's most recent termination notice. A trial
+	// noticed at the current instant is not redeployed until one
+	// PollInterval later: an instance bought inside its market's doom
+	// window is noticed the moment it launches, and without this spacing
+	// the event loop would deploy-notice-requeue forever at one instant
+	// (the polling loop gets the same spacing for free from its sleep).
+	noticedAt time.Time
+
+	// blackoutRetryAt paces blackout-rejected spot requests onto the retry
+	// schedule the resilience strategy chose (the fixed strategy picks the
+	// PollInterval grid). The rejection count feeds the policy-visible
+	// spot-failure streak, so the attempt cadence must not depend on the
+	// loop mode: without this gate the event loop would retry at every
+	// interesting instant (price ticks, arbitrary spacing) while the
+	// polling loop retries every PollInterval, and fallback policies would
+	// see different streaks — and make different decisions — under the
+	// two loops.
+	blackoutRetryAt time.Time
+
+	// blackoutRetries counts every blackout-rejected spot request across
+	// the whole campaign (reported); blackoutStreak counts the consecutive
+	// rejections since the last successful deploy (the resilience
+	// strategy's retry attempt number — reset on deploy, give-up, and
+	// finish).
+	blackoutRetries int
+	blackoutStreak  int
+
+	// gaveUp marks a trial abandoned by the resilience strategy's retry
+	// budget (cleared if a later round deploys it successfully).
+	gaveUp bool
+
+	// migrating marks a trial in its notice window that the resilience
+	// strategy chose to redeploy immediately (migration-on-notice); it
+	// bypasses the noticedAt redeploy spacing so the restore overlaps the
+	// remaining notice lead time. migrateExclude is the market to exclude
+	// from the replacement decision ("" = no exclusion).
+	migrating      bool
+	migrateExclude string
+
+	// lastNoticed is the market that most recently revoked the trial;
+	// under diversified-spot degradation the next decision excludes it.
+	lastNoticed string
+
+	// trend is the trial's incremental EarlyCurve tracker (built lazily
+	// when cfg.Trend is the production Predictor). It memoizes its last
+	// staged fit, so repeated progress evaluations over an unchanged curve
+	// return the cached extrapolation and an appended curve re-solves only
+	// the growing tail stage — bit-identical to a cold refit either way.
+	trend earlycurve.TrendPredictor
+}
+
+// forgetRecoveryState clears the trial's redeploy pacing once it leaves the
+// waiting/active cycle (finish or give-up), so a later round re-activating
+// the trial starts with a clean streak.
+func (st *trialState) forgetRecoveryState() {
+	st.noticedAt, st.blackoutRetryAt = time.Time{}, time.Time{}
+	st.blackoutStreak = 0
+	st.migrating, st.migrateExclude = false, ""
+}
+
 // oversizedFor reports whether a checkpoint of the given size cannot be
 // uploaded within the notice lead time on the given instance.
 func oversizedFor(ckptMB float64, cpus int) bool {
@@ -241,71 +323,23 @@ type Orchestrator struct {
 	approach string
 	perf     *PerfMatrix
 
-	trials   map[string]*trial.Replay
-	order    []string // submission order
-	waiting  []string
-	active   map[string]*assignment
-	finished map[string]bool
+	// trials holds one record per trial in submission order; byID indexes
+	// it for the tuner-facing string API, and order lists the IDs.
+	trials []*trialState
+	byID   map[string]*trialState
+	order  []string
+	// waiting is the deploy queue; nActive counts the trials whose
+	// assignment (live, or noticed and not yet swept) occupies a slot;
+	// round numbers the tuner rounds run so far.
+	waiting []*trialState
+	nActive int
+	round   int
 
 	segments      []segment
 	deployments   int
 	odDeployments int
 	notices       int
 	iterations    int // scheduler loop turns across all phases
-
-	// deployCount/spotFailures feed policy.TrialInfo: total deployments
-	// per trial, and the consecutive spot misfortunes — segments that
-	// ended in a revocation notice plus blackout-rejected spot requests —
-	// (cleared when a spot segment ends cleanly — completion or proactive
-	// restart — but not by on-demand segments, which say nothing about the
-	// spot market).
-	deployCount  map[string]int
-	spotFailures map[string]int
-
-	// noticedAt records each trial's most recent termination notice. A
-	// trial noticed at the current instant is not redeployed until one
-	// PollInterval later: an instance bought inside its market's doom
-	// window is noticed the moment it launches, and without this spacing
-	// the event loop would deploy-notice-requeue forever at one instant
-	// (the polling loop gets the same spacing for free from its sleep).
-	noticedAt map[string]time.Time
-
-	// blackoutRetryAt paces blackout-rejected spot requests onto the
-	// retry schedule the resilience strategy chose (the fixed strategy
-	// picks the PollInterval grid). The rejection count feeds the
-	// policy-visible spot-failure streak, so the attempt cadence must not
-	// depend on the loop mode: without this gate the event loop would
-	// retry at every interesting instant (price ticks, arbitrary spacing)
-	// while the polling loop retries every PollInterval, and fallback
-	// policies would see different streaks — and make different decisions
-	// — under the two loops. Entries are deleted on successful deploy,
-	// give-up, and trial finish, so the map stays bounded by the waiting
-	// set.
-	blackoutRetryAt map[string]time.Time
-
-	// blackoutRetries counts every blackout-rejected spot request per
-	// trial across the whole campaign (reported); blackoutStreak counts
-	// the consecutive rejections since the trial's last successful deploy
-	// (the resilience strategy's retry attempt number — reset on deploy,
-	// give-up, and finish).
-	blackoutRetries map[string]int
-	blackoutStreak  map[string]int
-
-	// gaveUp marks trials abandoned by the resilience strategy's retry
-	// budget (cleared if a later round deploys the trial successfully).
-	gaveUp map[string]bool
-
-	// migrate marks trials in their notice window that the resilience
-	// strategy chose to redeploy immediately (migration-on-notice); the
-	// value is the market to exclude from the replacement decision ("" =
-	// no exclusion). Presence bypasses the noticedAt redeploy spacing so
-	// the restore overlaps the remaining notice lead time.
-	migrate map[string]string
-
-	// lastNoticed remembers the market that most recently revoked each
-	// trial; under diversified-spot degradation the next decision for
-	// that trial excludes it.
-	lastNoticed map[string]string
 
 	// res is the recovery strategy (Config.Resilience; never nil). rates
 	// feeds its adaptive cadence with per-market revocation-rate
@@ -331,18 +365,9 @@ type Orchestrator struct {
 	// blobs on Put, so one buffer serves every write).
 	ckptBuf []byte
 
-	// trend holds per-trial incremental EarlyCurve trackers (lazily built
-	// when cfg.Trend is the production Predictor). A tracker memoizes its
-	// last staged fit, so repeated progress evaluations over an unchanged
-	// curve return the cached extrapolation and an appended curve re-solves
-	// only the growing tail stage — bit-identical to a cold refit either
-	// way. Custom TrendPredictors bypass this and are called directly.
-	trend map[string]earlycurve.TrendPredictor
-
 	// tuner drives the round loop (Config.Tuner, or the default spottune
-	// schedule); limits holds the active round's per-trial step caps.
-	tuner  search.Tuner
-	limits map[string]int
+	// schedule).
+	tuner search.Tuner
 
 	// trc is the flight recorder (Config.Tracer; never nil — obs.Nop when
 	// tracing is off). Also installed on the cluster, so the recording
@@ -375,34 +400,27 @@ func NewPolicyOrchestrator(
 		approach = "SpotTune"
 	}
 	o := &Orchestrator{
-		cfg:             cfg.withDefaults(),
-		cluster:         cluster,
-		store:           store,
-		pol:             pol,
-		pool:            append([]string(nil), pool...),
-		approach:        approach,
-		perf:            NewPerfMatrix(cluster.Catalog(), cfg.withDefaults().C0),
-		trials:          make(map[string]*trial.Replay, len(trials)),
-		active:          make(map[string]*assignment),
-		finished:        make(map[string]bool),
-		noticedAt:       make(map[string]time.Time),
-		blackoutRetryAt: make(map[string]time.Time),
-		blackoutRetries: make(map[string]int),
-		blackoutStreak:  make(map[string]int),
-		gaveUp:          make(map[string]bool),
-		migrate:         make(map[string]string),
-		lastNoticed:     make(map[string]string),
-		deployCount:     make(map[string]int),
-		spotFailures:    make(map[string]int),
-		rates:           resilience.NewRateEstimator(),
+		cfg:      cfg.withDefaults(),
+		cluster:  cluster,
+		store:    store,
+		pol:      pol,
+		pool:     append([]string(nil), pool...),
+		approach: approach,
+		perf:     NewPerfMatrix(cluster.Catalog(), cfg.withDefaults().C0),
+		trials:   make([]*trialState, len(trials)),
+		byID:     make(map[string]*trialState, len(trials)),
+		order:    make([]string, len(trials)),
+		rates:    resilience.NewRateEstimator(),
 	}
 	o.res = o.cfg.Resilience
-	for _, tr := range trials {
-		if _, dup := o.trials[tr.ID()]; dup {
+	states := make([]trialState, len(trials))
+	for i, tr := range trials {
+		if _, dup := o.byID[tr.ID()]; dup {
 			return nil, fmt.Errorf("core: duplicate trial %q", tr.ID())
 		}
-		o.trials[tr.ID()] = tr
-		o.order = append(o.order, tr.ID())
+		st := &states[i]
+		st.tr = tr
+		o.trials[i], o.byID[tr.ID()], o.order[i] = st, st, tr.ID()
 	}
 	o.tuner = o.cfg.Tuner
 	if o.tuner == nil {
@@ -472,32 +490,37 @@ type tunerView struct{ o *Orchestrator }
 func (v *tunerView) TrialIDs() []string { return v.o.order }
 
 func (v *tunerView) Status(id string) search.TrialStatus {
-	tr, ok := v.o.trials[id]
+	st, ok := v.o.byID[id]
 	if !ok {
 		return search.TrialStatus{ID: id}
 	}
-	st := search.TrialStatus{
+	tr := st.tr
+	out := search.TrialStatus{
 		ID:             id,
 		CompletedSteps: tr.CompletedSteps(),
 		MaxSteps:       tr.MaxSteps(),
 		Plateaued:      tr.Plateaued(v.o.cfg.ConvergeWindow, v.o.cfg.ConvergeTol),
 	}
 	if p, ok := tr.LastPoint(); ok {
-		st.HasPoint, st.LastValue = true, p.Value
+		out.HasPoint, out.LastValue = true, p.Value
 	}
-	return st
+	return out
 }
 
 func (v *tunerView) Points(id string) []earlycurve.MetricPoint {
-	tr, ok := v.o.trials[id]
+	st, ok := v.o.byID[id]
 	if !ok {
 		return nil
 	}
-	return tr.Points()
+	return st.tr.Points()
 }
 
 func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
-	return v.o.trendFor(id)
+	st, ok := v.o.byID[id]
+	if !ok {
+		return v.o.cfg.Trend
+	}
+	return v.o.trendFor(st)
 }
 
 // runPhase executes one tuner round: every directed trial is (re)activated
@@ -508,24 +531,26 @@ func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
 // trigger handling and deployment code, so they differ only in how far the
 // clock jumps between scheduler turns.
 func (o *Orchestrator) runPhase(round search.Round) error {
-	o.limits = make(map[string]int, len(round.Directives))
-	o.active = make(map[string]*assignment)
+	o.round++
+	for _, st := range o.trials {
+		st.a = nil
+	}
+	o.nActive = 0
 	o.waiting = nil
 	for _, d := range round.Directives {
-		tr, ok := o.trials[d.TrialID]
+		st, ok := o.byID[d.TrialID]
 		if !ok {
 			return fmt.Errorf("core: tuner %s directed unknown trial %q", o.tuner.Name(), d.TrialID)
 		}
-		if _, dup := o.limits[d.TrialID]; dup {
+		if st.round == o.round {
 			return fmt.Errorf("core: tuner %s directed trial %q twice in one round", o.tuner.Name(), d.TrialID)
 		}
-		lim := d.StepLimit
-		if lim <= 0 || lim > tr.MaxSteps() {
-			lim = tr.MaxSteps()
+		st.round, st.limit = o.round, d.StepLimit
+		if st.limit <= 0 || st.limit > st.tr.MaxSteps() {
+			st.limit = st.tr.MaxSteps()
 		}
-		o.limits[d.TrialID] = lim
-		delete(o.finished, d.TrialID)
-		o.waiting = append(o.waiting, d.TrialID)
+		st.finished = false
+		o.waiting = append(o.waiting, st)
 	}
 	if len(o.waiting) == 0 {
 		return nil
@@ -544,7 +569,7 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 				Kind:  obs.KindBudget,
 				Trial: d.TrialID,
 				Label: round.Label,
-				N:     int64(o.limits[d.TrialID]),
+				N:     int64(o.byID[d.TrialID].limit),
 			})
 		}
 	}
@@ -565,9 +590,6 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 	})
 	return nil
 }
-
-// limitFor is the active round's step cap for one trial.
-func (o *Orchestrator) limitFor(tr *trial.Replay) int { return o.limits[tr.ID()] }
 
 // runPhasePolling is the paper's literal Algorithm 1 loop: wake up every
 // PollInterval and sample everything.
@@ -637,26 +659,25 @@ func (o *Orchestrator) runPhaseEvent() error {
 // handleTriggers advances every live assignment to now and applies Algorithm
 // 1's per-trial triggers, in submission order for determinism.
 func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
-	for _, id := range o.order {
-		a, ok := o.active[id]
-		if !ok || a.dead {
+	for _, st := range o.trials {
+		a := st.a
+		if a == nil || a.dead {
 			continue
 		}
 		o.advance(a, now)
-		tr := a.tr
-		lim := o.limitFor(tr)
+		tr := st.tr
 		// Plateaued is the engine-wide convergence verdict (the memoized
 		// minimal-prefix precheck plus the exact re-check) — the same call
 		// the tuner-visible TrialStatus goes through, so the round executor
 		// and the tuner can never disagree about a trial's plateau.
 		converged := tr.Plateaued(o.cfg.ConvergeWindow, o.cfg.ConvergeTol)
 		switch {
-		case tr.CompletedSteps() >= lim || converged:
+		case tr.CompletedSteps() >= st.limit || converged:
 			// Early shutdown / completion (lines 27–30).
 			o.checkpoint(a, now)
 			o.endAssignment(a, true)
-			o.finished[id] = true
-			o.forgetRecoveryState(id)
+			st.finished = true
+			st.forgetRecoveryState()
 			*pending--
 		case !a.inst.OnDemand && now.Sub(a.deployedAt) >= o.cfg.RestartAfter:
 			// Hourly refund-farming restart (lines 31–34). Spot only:
@@ -665,7 +686,7 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			// run until their trial-side trigger instead.
 			o.checkpoint(a, now)
 			o.endAssignment(a, true)
-			o.waiting = append(o.waiting, id)
+			o.waiting = append(o.waiting, st)
 		case a.oversized && now.Sub(a.lastCkptAt) >= a.cadence:
 			// Periodic checkpointing: this trial's state cannot be
 			// saved inside the revocation notice, so snapshot on a
@@ -673,24 +694,13 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			o.checkpoint(a, now)
 		}
 	}
-	// Remove dead assignments.
-	for id, a := range o.active {
-		if a.dead {
-			delete(o.active, id)
+	// Free the slots of dead assignments.
+	for _, st := range o.trials {
+		if st.a != nil && st.a.dead {
+			st.a = nil
+			o.nActive--
 		}
 	}
-}
-
-// forgetRecoveryState drops every bounded per-trial recovery entry once a
-// trial leaves the waiting/active cycle (finish or give-up). Stale entries
-// were harmless for scheduling — past instants never gate — but the maps
-// must not grow with campaign length, and a later round re-activating the
-// trial must start with a clean streak.
-func (o *Orchestrator) forgetRecoveryState(id string) {
-	delete(o.noticedAt, id)
-	delete(o.blackoutRetryAt, id)
-	delete(o.blackoutStreak, id)
-	delete(o.migrate, id)
 }
 
 // assessDegradation advances the deadline-degradation ladder (spot →
@@ -717,23 +727,23 @@ func (o *Orchestrator) assessDegradation(now time.Time) {
 
 // remainingSecs estimates the compute seconds left in the active round:
 // each unfinished trial's remaining steps at its best (fastest-known)
-// pool-member rate, divided across the concurrency budget. An optimistic
+// pool-member rate, summed in submission order and divided across the
+// concurrency budget. An optimistic
 // lower bound — real schedules add restarts and restores — which is the
 // right bias for a ladder that must not escalate early.
 func (o *Orchestrator) remainingSecs() float64 {
 	total := 0.0
-	for id, lim := range o.limits {
-		if o.finished[id] {
+	for _, st := range o.trials {
+		if st.round != o.round || st.finished {
 			continue
 		}
-		tr := o.trials[id]
-		rem := lim - tr.CompletedSteps()
+		rem := st.limit - st.tr.CompletedSteps()
 		if rem <= 0 {
 			continue
 		}
 		best := math.Inf(1)
 		for _, tn := range o.pool {
-			if s := o.perf.Get(tn, id); s < best {
+			if s := o.perf.Get(tn, st.tr.ID()); s < best {
 				best = s
 			}
 		}
@@ -773,241 +783,257 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		incumbent = o.incumbentBest()
 		o.assessDegradation(now)
 	}
-	for len(o.waiting) > 0 && len(o.active) < o.cfg.MaxConcurrent {
-		id := o.waiting[0]
-		if _, migrating := o.migrate[id]; !migrating {
-			if t, ok := o.noticedAt[id]; ok && !t.Before(now) {
-				return now.Add(o.cfg.PollInterval), false, nil
-			}
+	for len(o.waiting) > 0 && o.nActive < o.cfg.MaxConcurrent {
+		st := o.waiting[0]
+		if !st.migrating && !st.noticedAt.Before(now) {
+			return now.Add(o.cfg.PollInterval), false, nil
 		}
-		if t, ok := o.blackoutRetryAt[id]; ok && now.Before(t) {
-			return t, false, nil
+		if now.Before(st.blackoutRetryAt) {
+			return st.blackoutRetryAt, false, nil
 		}
-		tr := o.trials[id]
-		// The resilience layer narrows the policy's choice: a migrating
-		// trial avoids the market that just revoked it, and under
-		// diversified-spot degradation every redeploy avoids the trial's
-		// last revoker. At the ladder's top the policy is bypassed
-		// entirely for reliable capacity.
-		exclude := o.migrate[id]
-		if exclude == "" && o.slack.Level() >= resilience.LevelDiversified {
-			exclude = o.lastNoticed[id]
-		}
-		info := policy.TrialInfo{
-			ID:             id,
-			CompletedSteps: tr.CompletedSteps(),
-			MaxSteps:       tr.MaxSteps(),
-			Deployments:    o.deployCount[id],
-			SpotFailures:   o.spotFailures[id],
-			Incumbent:      id == incumbent,
-			Exclude:        exclude,
-			ExcludeFamily:  o.familyOf(exclude),
-			LastRevoked:    o.lastNoticed[id],
-		}
-		ctx := policy.Context{
-			Market:         o.cluster,
-			Trial:          info,
-			ActiveOnDemand: o.activeOnDemand(),
-			SecPerStep:     func(tn string) float64 { return o.perf.Get(tn, id) },
-			RevRate:        func(tn string) float64 { return o.rates.RevocationsPerHour(tn) },
-			Tracer:         o.trc,
-		}
-		var req policy.Request
-		if o.slack.Level() >= resilience.LevelOnDemand {
-			req, err = policy.CheapestOnDemand(ctx, o.pool)
-		} else {
-			req, err = o.pol.Decide(ctx)
-		}
+		id := st.tr.ID()
+		req, err := o.decide(st, id == incumbent)
 		if err != nil {
 			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
-		a := &assignment{tr: tr, stepsBefore: tr.CompletedSteps(), lastCkptSteps: tr.CompletedSteps()}
-		var inst *cloudsim.Instance
-		if req.OnDemand {
-			inst, err = o.cluster.RequestOnDemand(req.TypeName)
-			if err != nil {
-				// On-demand requests only fail on unknown types — a
-				// policy configuration error, not market state.
-				return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
+		a := &assignment{st: st, stepsBefore: st.tr.CompletedSteps(), lastCkptSteps: st.tr.CompletedSteps()}
+		inst, err := o.launch(a, req)
+		switch {
+		case errors.Is(err, cloudsim.ErrPriceAboveMax):
+			// Market moved against us inside this tick; retry later.
+			return time.Time{}, true, nil
+		case errors.Is(err, cloudsim.ErrCapacityUnavailable):
+			if at := o.onBlackout(st, req.TypeName, now); !at.IsZero() {
+				return at, false, nil
 			}
-			o.odDeployments++
-		} else {
-			inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, func(_ *cloudsim.Instance, at time.Time) {
-				o.onNotice(a, at)
-			})
-			if errors.Is(err, cloudsim.ErrPriceAboveMax) {
-				// Market moved against us inside this tick; retry later.
-				return time.Time{}, true, nil
-			}
-			if errors.Is(err, cloudsim.ErrCapacityUnavailable) {
-				// Capacity blackout: retriable market state, but unlike a
-				// price rejection the failed API call is evidence the
-				// market is hostile — count it toward the trial's
-				// spot-failure streak so fallback policies can swap to
-				// on-demand instead of waiting the window out. The retry
-				// pacing comes from the resilience strategy: the fixed
-				// strategy keeps the PollInterval grid so the streak grows
-				// identically under both loop modes; adaptive strategies
-				// back off exponentially and may exhaust the trial's retry
-				// budget, abandoning it (give-up) rather than spinning
-				// through a blackout the deadline cannot absorb.
-				o.spotFailures[id]++
-				o.blackoutRetries[id]++
-				o.blackoutStreak[id]++
-				attempt := o.blackoutStreak[id]
-				o.trc.Emit(obs.Event{
-					VT:    now,
-					Kind:  obs.KindBlackoutRetry,
-					Trial: id,
-					Type:  req.TypeName,
-					N:     int64(o.spotFailures[id]),
-				})
-				dec := o.res.Retry(resilience.RetryContext{
-					TrialID:      id,
-					Attempt:      attempt,
-					PollInterval: o.cfg.PollInterval,
-				})
-				if dec.GiveUp {
-					o.trc.Emit(obs.Event{
-						VT:    now,
-						Kind:  obs.KindGiveUp,
-						Trial: id,
-						Type:  req.TypeName,
-						N:     int64(attempt),
-					})
-					o.gaveUp[id] = true
-					o.finished[id] = true
-					o.forgetRecoveryState(id)
-					o.waiting = o.waiting[1:]
-					*pending--
-					continue
-				}
-				delay := dec.Delay
-				if delay <= 0 {
-					delay = o.cfg.PollInterval
-				}
-				o.trc.Emit(obs.Event{
-					VT:    now,
-					Kind:  obs.KindBackoff,
-					Trial: id,
-					Type:  req.TypeName,
-					A:     delay.Seconds(),
-					N:     int64(attempt),
-				})
-				o.blackoutRetryAt[id] = now.Add(delay)
-				return now.Add(delay), false, nil
-			}
-			if err != nil {
-				// Anything else (unknown type from a custom policy) is a
-				// configuration error — surface it instead of spinning.
-				return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
-			}
+			o.waiting = o.waiting[1:]
+			*pending--
+			continue
+		case err != nil:
+			// On-demand requests only fail on unknown types, and so does
+			// anything else a custom policy asks for: a configuration
+			// error, not market state — surface it instead of spinning.
+			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
-		o.deployments++
-		o.deployCount[id]++
-		delete(o.blackoutRetryAt, id)
-		delete(o.blackoutStreak, id)
-		delete(o.migrate, id)
-		delete(o.gaveUp, id)
-		a.inst = inst
-		a.deployedAt = now
-		a.lastCkptAt = now
-		a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
-		// The resilience strategy decides this assignment's periodic
-		// checkpoint cadence from the checkpoint's write cost and the
-		// market's observed revocation rate (fixed: the configured
-		// default; adaptive: Young/Daly).
-		ckptSecs := o.cfg.CheckpointSetup.Seconds() +
-			tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
-		a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
-			TrialID:            id,
-			TypeName:           inst.Type.Name,
-			CheckpointSecs:     ckptSecs,
-			RevocationsPerHour: o.rates.RevocationsPerHour(inst.Type.Name),
-			Default:            o.cfg.PeriodicCheckpoint,
-		})
-		if a.cadence <= 0 {
-			a.cadence = o.cfg.PeriodicCheckpoint
+		if err := o.place(a, inst, req, now); err != nil {
+			return time.Time{}, false, err
 		}
-		deployLabel, deployPrice := "spot", req.MaxPrice
-		if req.OnDemand {
-			deployLabel, deployPrice = "on-demand", inst.Type.OnDemandPrice
-		}
-		o.trc.Emit(obs.Event{
-			VT:    now,
-			Kind:  obs.KindDeploy,
-			Trial: id,
-			Inst:  inst.ID,
-			Type:  inst.Type.Name,
-			Label: deployLabel,
-			A:     deployPrice,
-			N:     int64(tr.CompletedSteps()),
-		})
-		busy := now.Add(o.cfg.StartupDelay)
-		// Oversized trials need a baseline recovery point before
-		// any revocation can strike: without it, a notice arriving
-		// before the first periodic snapshot would have nothing to
-		// rewind to.
-		if a.oversized && !o.store.Exists(ckptKey(id)) {
-			o.checkpoint(a, now)
-		}
-		// Restore from checkpoint when one exists (line 41 deploys
-		// either a fresh job or a checkpointed one).
-		if o.store.Exists(ckptKey(id)) {
-			blob, d, err := o.store.Get(ckptKey(id), inst.Type.CPUs)
-			if err != nil {
-				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
-			}
-			if err := tr.Restore(blob); err != nil {
-				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
-			}
-			a.stepsBefore = tr.CompletedSteps()
-			a.lastCkptSteps = tr.CompletedSteps()
-			busy = busy.Add(d + o.cfg.RestoreSetup)
-			o.restoreSetup += o.cfg.RestoreSetup
-			o.trc.Emit(obs.Event{
-				VT:    now,
-				Kind:  obs.KindRestore,
-				Trial: id,
-				Inst:  inst.ID,
-				A:     (d + o.cfg.RestoreSetup).Seconds(),
-				N:     int64(tr.CompletedSteps()),
-			})
-		}
-		a.busyAt = busy
-		a.lastAdvance = busy
-		o.active[id] = a
 		o.waiting = o.waiting[1:]
 	}
 	return time.Time{}, false, nil
 }
 
-// trendFor returns the trend predictor to use for one trial: a per-trial
+// decide asks for the trial's next instance. The resilience layer narrows
+// the policy's choice: a migrating trial avoids the market that just
+// revoked it, and under diversified-spot degradation every redeploy avoids
+// the trial's last revoker. At the ladder's top the policy is bypassed
+// entirely for reliable capacity.
+func (o *Orchestrator) decide(st *trialState, incumbent bool) (policy.Request, error) {
+	id := st.tr.ID()
+	exclude := st.migrateExclude
+	if exclude == "" && o.slack.Level() >= resilience.LevelDiversified {
+		exclude = st.lastNoticed
+	}
+	ctx := policy.Context{
+		Market: o.cluster,
+		Trial: policy.TrialInfo{
+			ID:             id,
+			CompletedSteps: st.tr.CompletedSteps(),
+			MaxSteps:       st.tr.MaxSteps(),
+			Deployments:    st.deployCount,
+			SpotFailures:   st.spotFailures,
+			Incumbent:      incumbent,
+			Exclude:        exclude,
+			ExcludeFamily:  o.familyOf(exclude),
+			LastRevoked:    st.lastNoticed,
+		},
+		ActiveOnDemand: o.activeOnDemand(),
+		SecPerStep:     func(tn string) float64 { return o.perf.Get(tn, id) },
+		RevRate:        func(tn string) float64 { return o.rates.RevocationsPerHour(tn) },
+		Tracer:         o.trc,
+	}
+	if o.slack.Level() >= resilience.LevelOnDemand {
+		return policy.CheapestOnDemand(ctx, o.pool)
+	}
+	return o.pol.Decide(ctx)
+}
+
+// launch requests the decided instance for the assignment. A spot
+// instance's termination notice is routed to onNotice.
+func (o *Orchestrator) launch(a *assignment, req policy.Request) (*cloudsim.Instance, error) {
+	if !req.OnDemand {
+		return o.cluster.RequestSpot(req.TypeName, req.MaxPrice, func(_ *cloudsim.Instance, at time.Time) {
+			o.onNotice(a, at)
+		})
+	}
+	inst, err := o.cluster.RequestOnDemand(req.TypeName)
+	if err == nil {
+		o.odDeployments++
+	}
+	return inst, err
+}
+
+// onBlackout books a capacity-blackout rejection of the trial's spot
+// request and returns the instant to retry at, or the zero time when the
+// resilience strategy gives the trial up. A blackout is retriable market
+// state, but unlike a price rejection the failed API call is evidence the
+// market is hostile — it counts toward the trial's spot-failure streak so
+// fallback policies can swap to on-demand instead of waiting the window
+// out. The fixed strategy keeps the PollInterval grid so the streak grows
+// identically under both loop modes; adaptive strategies back off
+// exponentially and may exhaust the trial's retry budget, abandoning it
+// rather than spinning through a blackout the deadline cannot absorb.
+func (o *Orchestrator) onBlackout(st *trialState, typeName string, now time.Time) time.Time {
+	id := st.tr.ID()
+	st.spotFailures++
+	st.blackoutRetries++
+	st.blackoutStreak++
+	attempt := st.blackoutStreak
+	o.trc.Emit(obs.Event{
+		VT:    now,
+		Kind:  obs.KindBlackoutRetry,
+		Trial: id,
+		Type:  typeName,
+		N:     int64(st.spotFailures),
+	})
+	dec := o.res.Retry(resilience.RetryContext{
+		TrialID:      id,
+		Attempt:      attempt,
+		PollInterval: o.cfg.PollInterval,
+	})
+	if dec.GiveUp {
+		o.trc.Emit(obs.Event{
+			VT:    now,
+			Kind:  obs.KindGiveUp,
+			Trial: id,
+			Type:  typeName,
+			N:     int64(attempt),
+		})
+		st.gaveUp = true
+		st.finished = true
+		st.forgetRecoveryState()
+		return time.Time{}
+	}
+	delay := dec.Delay
+	if delay <= 0 {
+		delay = o.cfg.PollInterval
+	}
+	o.trc.Emit(obs.Event{
+		VT:    now,
+		Kind:  obs.KindBackoff,
+		Trial: id,
+		Type:  typeName,
+		A:     delay.Seconds(),
+		N:     int64(attempt),
+	})
+	st.blackoutRetryAt = now.Add(delay)
+	return st.blackoutRetryAt
+}
+
+// place books a launched instance: the deployment counters and recovery
+// reset, the periodic-checkpoint cadence, the deploy event, and the restore
+// from the trial's last checkpoint. The assignment then takes a slot.
+func (o *Orchestrator) place(a *assignment, inst *cloudsim.Instance, req policy.Request, now time.Time) error {
+	st, tr, id := a.st, a.st.tr, a.st.tr.ID()
+	o.deployments++
+	st.deployCount++
+	st.blackoutRetryAt, st.blackoutStreak = time.Time{}, 0
+	st.migrating, st.migrateExclude = false, ""
+	st.gaveUp = false
+	a.inst = inst
+	a.deployedAt = now
+	a.lastCkptAt = now
+	a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
+	// The resilience strategy decides this assignment's periodic
+	// checkpoint cadence from the checkpoint's write cost and the
+	// market's observed revocation rate (fixed: the configured
+	// default; adaptive: Young/Daly).
+	ckptSecs := o.cfg.CheckpointSetup.Seconds() +
+		tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
+	a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
+		TrialID:            id,
+		TypeName:           inst.Type.Name,
+		CheckpointSecs:     ckptSecs,
+		RevocationsPerHour: o.rates.RevocationsPerHour(inst.Type.Name),
+		Default:            o.cfg.PeriodicCheckpoint,
+	})
+	if a.cadence <= 0 {
+		a.cadence = o.cfg.PeriodicCheckpoint
+	}
+	deployLabel, deployPrice := "spot", req.MaxPrice
+	if req.OnDemand {
+		deployLabel, deployPrice = "on-demand", inst.Type.OnDemandPrice
+	}
+	o.trc.Emit(obs.Event{
+		VT:    now,
+		Kind:  obs.KindDeploy,
+		Trial: id,
+		Inst:  inst.ID,
+		Type:  inst.Type.Name,
+		Label: deployLabel,
+		A:     deployPrice,
+		N:     int64(tr.CompletedSteps()),
+	})
+	busy := now.Add(o.cfg.StartupDelay)
+	// Oversized trials need a baseline recovery point before any
+	// revocation can strike: without it, a notice arriving before the
+	// first periodic snapshot would have nothing to rewind to.
+	if a.oversized && !o.store.Exists(ckptKey(id)) {
+		o.checkpoint(a, now)
+	}
+	// Restore from checkpoint when one exists (line 41 deploys either a
+	// fresh job or a checkpointed one).
+	if o.store.Exists(ckptKey(id)) {
+		blob, d, err := o.store.Get(ckptKey(id), inst.Type.CPUs)
+		if err != nil {
+			return fmt.Errorf("core: restoring %s: %w", id, err)
+		}
+		if err := tr.Restore(blob); err != nil {
+			return fmt.Errorf("core: restoring %s: %w", id, err)
+		}
+		a.stepsBefore = tr.CompletedSteps()
+		a.lastCkptSteps = tr.CompletedSteps()
+		busy = busy.Add(d + o.cfg.RestoreSetup)
+		o.restoreSetup += o.cfg.RestoreSetup
+		o.trc.Emit(obs.Event{
+			VT:    now,
+			Kind:  obs.KindRestore,
+			Trial: id,
+			Inst:  inst.ID,
+			A:     (d + o.cfg.RestoreSetup).Seconds(),
+			N:     int64(tr.CompletedSteps()),
+		})
+	}
+	a.busyAt = busy
+	a.lastAdvance = busy
+	if st.a == nil {
+		o.nActive++
+	}
+	st.a = a
+	return nil
+}
+
+// trendFor returns the trend predictor to use for one trial: its
 // incremental Tracker when the configured predictor is the production
 // EarlyCurve (warm-starting refits and skipping them outright when no new
 // points arrived), or the configured TrendPredictor as-is otherwise.
-func (o *Orchestrator) trendFor(id string) earlycurve.TrendPredictor {
+func (o *Orchestrator) trendFor(st *trialState) earlycurve.TrendPredictor {
 	p, ok := o.cfg.Trend.(*earlycurve.Predictor)
 	if !ok {
 		return o.cfg.Trend
 	}
-	if o.trend == nil {
-		o.trend = make(map[string]earlycurve.TrendPredictor)
+	if st.trend == nil {
+		st.trend = p.NewTracker()
 	}
-	t, ok := o.trend[id]
-	if !ok {
-		t = p.NewTracker()
-		o.trend[id] = t
-	}
-	return t
+	return st.trend
 }
 
 // stepTarget is the whole-step count at which the assignment's trial stops
 // in this phase: the phase limit, or the precomputed plateau step if that
 // comes first (§III-C's convergence special case).
-func (o *Orchestrator) stepTarget(tr *trial.Replay) int {
-	target := o.limitFor(tr)
-	if cs, ok := tr.ConvergeStep(o.cfg.ConvergeWindow, o.cfg.ConvergeTol); ok && cs < target {
+func (o *Orchestrator) stepTarget(st *trialState) int {
+	target := st.limit
+	if cs, ok := st.tr.ConvergeStep(o.cfg.ConvergeWindow, o.cfg.ConvergeTol); ok && cs < target {
 		target = cs
 	}
 	return target
@@ -1039,7 +1065,7 @@ func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 		cap = next.Sub(from).Seconds()
 	}
 	if cap >= 0 {
-		if need, ok := a.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.tr), cap); ok {
+		if need, ok := a.st.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.st), cap); ok {
 			// Round up so the advance slice is never a hair short of the
 			// step boundary (RunFor snaps the residual dust).
 			t := from.Add(time.Duration(math.Ceil(need * float64(time.Second))))
@@ -1065,12 +1091,10 @@ func (o *Orchestrator) nextWakeup(now time.Time, blocked bool) (time.Time, bool)
 			best, found = at, true
 		}
 	}
-	for _, id := range o.order {
-		a, ok := o.active[id]
-		if !ok || a.dead {
-			continue
+	for _, st := range o.trials {
+		if a := st.a; a != nil && !a.dead {
+			consider(o.assignmentTrigger(a))
 		}
-		consider(o.assignmentTrigger(a))
 	}
 	if at, ok := o.cluster.Clock().NextEventTime(); ok {
 		consider(at)
@@ -1103,18 +1127,18 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 	if secs <= 0 {
 		return
 	}
-	before := a.tr.Progress()
-	_, used := a.tr.RunFor(a.inst.Type, secs, o.limitFor(a.tr))
+	before := a.st.tr.Progress()
+	_, used := a.st.tr.RunFor(a.inst.Type, secs, a.st.limit)
 	a.lastAdvance = now
 	a.obsSecs += used
-	a.obsSteps += a.tr.Progress() - before
+	a.obsSteps += a.st.tr.Progress() - before
 }
 
 // observeSegment folds the finished segment's measured seconds-per-step
 // into the performance matrix (line 36 of Algorithm 1).
 func (o *Orchestrator) observeSegment(a *assignment) {
 	if a.obsSteps > 1e-9 && a.obsSecs > 0 {
-		o.perf.Observe(a.inst.Type.Name, a.tr.ID(), a.obsSecs/a.obsSteps)
+		o.perf.Observe(a.inst.Type.Name, a.st.tr.ID(), a.obsSecs/a.obsSteps)
 	}
 	a.obsSecs, a.obsSteps = 0, 0
 }
@@ -1131,14 +1155,14 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 	if a.dead || a.inst == nil {
 		return
 	}
-	id := a.tr.ID()
+	st, id := a.st, a.st.tr.ID()
 	o.notices++
-	o.spotFailures[id]++
+	st.spotFailures++
 	o.advance(a, at)
 	lost := 0
 	if a.oversized {
 		// Work past the last periodic snapshot rewinds at restore time.
-		lost = a.tr.CompletedSteps() - a.lastCkptSteps
+		lost = a.st.tr.CompletedSteps() - a.lastCkptSteps
 		if lost < 0 {
 			lost = 0
 		}
@@ -1151,7 +1175,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 		Inst:  a.inst.ID,
 		Type:  a.inst.Type.Name,
 		B:     float64(lost),
-		N:     int64(o.spotFailures[id]),
+		N:     int64(st.spotFailures),
 	})
 	if !a.oversized {
 		o.checkpoint(a, at)
@@ -1163,12 +1187,12 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 	o.recordSegment(a)
 	a.dead = true
 	// The cluster revokes the instance itself two minutes later.
-	o.noticedAt[id] = at
-	o.lastNoticed[id] = a.inst.Type.Name
-	if o.finished[id] {
+	st.noticedAt = at
+	st.lastNoticed = a.inst.Type.Name
+	if st.finished {
 		return
 	}
-	o.waiting = append(o.waiting, id)
+	o.waiting = append(o.waiting, st)
 	act := o.res.OnNotice(resilience.NoticeContext{
 		TrialID:  id,
 		TypeName: a.inst.Type.Name,
@@ -1179,7 +1203,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 		Immediate: !at.After(a.deployedAt),
 	})
 	if act.Migrate {
-		o.migrate[id] = act.ExcludeType
+		st.migrating, st.migrateExclude = true, act.ExcludeType
 		o.migrations++
 		o.trc.Emit(obs.Event{
 			VT:    at,
@@ -1197,15 +1221,15 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 // one orchestrator-owned buffer across the campaign (the store copies on
 // Put), so checkpointing never allocates in steady state.
 func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
-	o.ckptBuf = a.tr.AppendCheckpoint(o.ckptBuf[:0])
+	o.ckptBuf = a.st.tr.AppendCheckpoint(o.ckptBuf[:0])
 	cpus := 1
 	if a.inst != nil {
 		cpus = a.inst.Type.CPUs
 	}
-	o.store.PutSized(ckptKey(a.tr.ID()), o.ckptBuf, a.tr.CheckpointMB(), cpus)
+	o.store.PutSized(ckptKey(a.st.tr.ID()), o.ckptBuf, a.st.tr.CheckpointMB(), cpus)
 	o.ckptSetup += o.cfg.CheckpointSetup
 	a.lastCkptAt = o.cluster.Clock().Now()
-	a.lastCkptSteps = a.tr.CompletedSteps()
+	a.lastCkptSteps = a.st.tr.CompletedSteps()
 	instID := ""
 	if a.inst != nil {
 		instID = a.inst.ID
@@ -1213,11 +1237,11 @@ func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
 	o.trc.Emit(obs.Event{
 		VT:    a.lastCkptAt,
 		Kind:  obs.KindCheckpoint,
-		Trial: a.tr.ID(),
+		Trial: a.st.tr.ID(),
 		Inst:  instID,
-		A:     a.tr.CheckpointMB(),
+		A:     a.st.tr.CheckpointMB(),
 		B:     a.cadence.Seconds(),
-		N:     int64(a.tr.CompletedSteps()),
+		N:     int64(a.st.tr.CompletedSteps()),
 	})
 }
 
@@ -1236,15 +1260,15 @@ func (o *Orchestrator) endAssignment(a *assignment, terminate bool) {
 		o.rates.ObserveExposure(a.inst.Type.Name, o.cluster.Clock().Now().Sub(a.deployedAt))
 		// A spot segment that ended without a notice is evidence the
 		// market is livable; clear the trial's failure streak.
-		if n := o.spotFailures[a.tr.ID()]; n > 0 {
+		if n := a.st.spotFailures; n > 0 {
 			o.trc.Emit(obs.Event{
 				VT:    o.cluster.Clock().Now(),
 				Kind:  obs.KindStreakClear,
-				Trial: a.tr.ID(),
+				Trial: a.st.tr.ID(),
 				N:     int64(n),
 			})
 		}
-		delete(o.spotFailures, a.tr.ID())
+		a.st.spotFailures = 0
 	}
 	if terminate && a.inst != nil && a.inst.Running() {
 		// Termination failures would mean double bookkeeping bugs.
@@ -1256,7 +1280,7 @@ func (o *Orchestrator) endAssignment(a *assignment, terminate bool) {
 
 func (o *Orchestrator) recordSegment(a *assignment) {
 	o.observeSegment(a)
-	steps := a.tr.CompletedSteps() - a.stepsBefore
+	steps := a.st.tr.CompletedSteps() - a.stepsBefore
 	if steps < 0 {
 		steps = 0
 	}
@@ -1264,11 +1288,11 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 	if a.inst != nil {
 		instID = a.inst.ID
 	}
-	o.segments = append(o.segments, segment{instanceID: instID, trialID: a.tr.ID(), steps: steps})
+	o.segments = append(o.segments, segment{instanceID: instID, trialID: a.st.tr.ID(), steps: steps})
 	o.trc.Emit(obs.Event{
 		VT:    o.cluster.Clock().Now(),
 		Kind:  obs.KindSegment,
-		Trial: a.tr.ID(),
+		Trial: a.st.tr.ID(),
 		Inst:  instID,
 		N:     int64(steps),
 	})
@@ -1278,8 +1302,8 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 // policies so fleet-level pins stay bounded).
 func (o *Orchestrator) activeOnDemand() int {
 	n := 0
-	for _, a := range o.active {
-		if !a.dead && a.inst != nil && a.inst.OnDemand {
+	for _, st := range o.trials {
+		if a := st.a; a != nil && !a.dead && a.inst != nil && a.inst.OnDemand {
 			n++
 		}
 	}
@@ -1294,7 +1318,7 @@ func (o *Orchestrator) activeOnDemand() int {
 // not pay for the full tuner-facing status snapshot.
 func (o *Orchestrator) incumbentBest() string {
 	return search.BestByLast(o.order, func(id string) (float64, bool) {
-		p, ok := o.trials[id].LastPoint()
+		p, ok := o.byID[id].tr.LastPoint()
 		return p.Value, ok
 	})
 }

@@ -57,9 +57,8 @@ func TestFixedStrategyMatchesDefault(t *testing.T) {
 
 // TestBlackoutRetryBookkeeping covers the retry ledger end to end: a
 // campaign opening under a region-wide blackout must report per-trial retry
-// counts that reconcile exactly with the trace, and the orchestrator's
-// pacing maps must drain once trials deploy or finish (the unbounded-map
-// leak this bookkeeping replaced).
+// counts that reconcile exactly with the trace, and every trial record's
+// recovery fields must be back to zero once trials deploy or finish.
 func TestBlackoutRetryBookkeeping(t *testing.T) {
 	w := newWorld(t, false)
 	if err := w.cluster.AddBlackout(cloudsim.Blackout{
@@ -110,16 +109,14 @@ func TestBlackoutRetryBookkeeping(t *testing.T) {
 	if len(rep.GaveUp) != 0 {
 		t.Errorf("fixed strategy gave up on %v", rep.GaveUp)
 	}
-	// Pacing state is bounded: every per-trial recovery map drains once the
-	// campaign settles.
-	if n := len(orch.blackoutRetryAt); n != 0 {
-		t.Errorf("blackoutRetryAt leaked %d entries", n)
-	}
-	if n := len(orch.blackoutStreak); n != 0 {
-		t.Errorf("blackoutStreak leaked %d entries", n)
-	}
-	if n := len(orch.migrate); n != 0 {
-		t.Errorf("migrate leaked %d entries", n)
+	// Pacing state settles: once the campaign ends, no trial record holds a
+	// pending retry instant, streak, notice spacing or migration.
+	for _, st := range orch.trials {
+		if !st.blackoutRetryAt.IsZero() || st.blackoutStreak != 0 || !st.noticedAt.IsZero() ||
+			st.migrating || st.migrateExclude != "" {
+			t.Errorf("trial %s: recovery state left after the campaign: retryAt=%v streak=%d noticedAt=%v migrating=%v exclude=%q",
+				st.tr.ID(), st.blackoutRetryAt, st.blackoutStreak, st.noticedAt, st.migrating, st.migrateExclude)
+		}
 	}
 }
 
