@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -190,36 +189,6 @@ func (r *Result) WriteCSV(w io.Writer) error {
 		}
 	}
 	return cw.Flush()
-}
-
-// WriteCSVFile writes the per-cell table to path (shared by cmd/scenarios
-// and benchfigs so both emit byte-identical artifacts).
-func (r *Result) WriteCSVFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ViolationError dumps every invariant violation to w (prefixed per cell)
-// and returns an error summarizing the count, or nil when the matrix is
-// sound.
-func (r *Result) ViolationError(w io.Writer) error {
-	n := r.ViolationCount()
-	if n == 0 {
-		return nil
-	}
-	for _, c := range r.Cells {
-		for _, v := range c.Violations {
-			fmt.Fprintf(w, "%s/%s/%s: invariant violated: %v\n", c.Scenario, c.Tuner, c.Policy, v)
-		}
-	}
-	return fmt.Errorf("%d invariant violations across the matrix", n)
 }
 
 // Matrix is a scenario × tuner × strategy × policy study.
