@@ -564,46 +564,15 @@ func NewPolicyRow(policyName, workloadName string, rep *core.Report) PolicyRow {
 	}
 }
 
-// PolicyTasks builds one Sweep task per policy name (every registered
-// policy when names is nil) over the same benchmark, curves, and options —
-// the policy-dimension sweep behind the cross-policy comparison study.
-func (e *Environment) PolicyTasks(b *workload.Benchmark, curves workload.Curves, names []string, opt Options) []Task {
-	if names == nil {
-		names = policy.Names()
-	}
-	tasks := make([]Task, 0, len(names))
-	for _, name := range names {
-		o := opt
-		o.Policy = name
-		tasks = append(tasks, Task{
-			Key: name,
-			Run: func(*rand.Rand) (*core.Report, error) {
-				return e.RunPolicy(b, curves, o)
-			},
-		})
-	}
-	return tasks
-}
-
-// TunerTasks builds one Sweep task per tuner name (every registered tuner
-// when names is nil) over the same benchmark, curves, and options — the
-// search-strategy sweep behind the cross-tuner comparison study. Every task
-// shares the provisioning policy and environment, so row differences
-// measure the tuner schedule alone.
-func (e *Environment) TunerTasks(b *workload.Benchmark, curves workload.Curves, names []string, opt Options) []Task {
-	if names == nil {
-		names = search.Names()
-	}
-	tasks := make([]Task, 0, len(names))
-	for _, name := range names {
-		o := opt
-		o.Tuner = name
-		tasks = append(tasks, Task{
-			Key: name,
-			Run: func(*rand.Rand) (*core.Report, error) {
-				return e.RunPolicy(b, curves, o)
-			},
-		})
+// Tasks builds one Sweep task per entry of opts over the same benchmark and
+// curves, keyed by the matching entry of keys — the policy or tuner
+// dimension behind the cross-policy and cross-tuner studies.
+func (e *Environment) Tasks(b *workload.Benchmark, curves workload.Curves, keys []string, opts []Options) []Task {
+	tasks := make([]Task, len(opts))
+	for i, o := range opts {
+		tasks[i] = Task{Key: keys[i], Run: func(*rand.Rand) (*core.Report, error) {
+			return e.RunPolicy(b, curves, o)
+		}}
 	}
 	return tasks
 }

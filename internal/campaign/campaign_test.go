@@ -182,7 +182,8 @@ func TestEveryPolicyDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestPolicyTasksSweep fans the policy dimension through the Sweep pool.
+// TestPolicyTasksSweep fans the policy dimension through Tasks and the
+// Sweep pool.
 func TestPolicyTasksSweep(t *testing.T) {
 	env := quickEnv(t, PredictorConstant)
 	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 7, Scale: 0.2})
@@ -190,7 +191,12 @@ func TestPolicyTasksSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	curves := bench.SyntheticCurves(7)
-	tasks := env.PolicyTasks(bench, curves, nil, Options{Theta: 0.7, Seed: 7})
+	names := policy.Names()
+	opts := make([]Options, len(names))
+	for i, name := range names {
+		opts[i] = Options{Theta: 0.7, Seed: 7, Policy: name}
+	}
+	tasks := env.Tasks(bench, curves, names, opts)
 	if len(tasks) < 6 {
 		t.Fatalf("only %d policy tasks", len(tasks))
 	}
@@ -199,8 +205,8 @@ func TestPolicyTasksSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if res.Key != policy.Names()[i] {
-			t.Errorf("result %d key %q, want %q", i, res.Key, policy.Names()[i])
+		if res.Key != names[i] {
+			t.Errorf("result %d key %q, want %q", i, res.Key, names[i])
 		}
 		if res.Report.NetCost <= 0 {
 			t.Errorf("%s: cost %v", res.Key, res.Report.NetCost)
@@ -262,12 +268,15 @@ func TestTunerTasksSweepEveryRegisteredTuner(t *testing.T) {
 		t.Fatal(err)
 	}
 	curves := bench.SyntheticCurves(3)
-	opt := Options{Theta: 0.7, Seed: 3}
+	names := search.Names()
+	opts := make([]Options, len(names))
+	for i, name := range names {
+		opts[i] = Options{Theta: 0.7, Seed: 3, Tuner: name}
+	}
 	run := func() []SweepResult {
-		return Sweep(env.TunerTasks(bench, curves, nil, opt), SweepOptions{Seed: 3})
+		return Sweep(env.Tasks(bench, curves, names, opts), SweepOptions{Seed: 3})
 	}
 	results := run()
-	names := search.Names()
 	if len(results) != len(names) {
 		t.Fatalf("%d results for %d registered tuners", len(results), len(names))
 	}

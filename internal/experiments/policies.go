@@ -42,7 +42,12 @@ func CrossPolicy(ctx *Context, trace bool) (rows []campaign.PolicyRow, recs []*o
 		}
 	}
 	names := policy.Names()
-	results := campaign.Sweep(env.PolicyTasks(bench, curves, names, opt), campaign.SweepOptions{Seed: opt.Seed})
+	opts := make([]campaign.Options, len(names))
+	for i, name := range names {
+		opts[i] = opt
+		opts[i].Policy = name
+	}
+	results := campaign.Sweep(env.Tasks(bench, curves, names, opts), campaign.SweepOptions{Seed: opt.Seed})
 	for i, res := range results {
 		if res.Err != nil {
 			return nil, nil, fmt.Errorf("experiments: policy %s: %w", res.Key, res.Err)

@@ -39,8 +39,11 @@ func CrossTuner(ctx *Context) ([]CrossTunerRow, error) {
 		return nil, err
 	}
 	names := search.Names()
-	tasks := env.TunerTasks(bench, curves, names, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: ctx.Opts.Seed})
+	opts := make([]campaign.Options, len(names))
+	for i, name := range names {
+		opts[i] = campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed, Tuner: name}
+	}
+	results := campaign.Sweep(env.Tasks(bench, curves, names, opts), campaign.SweepOptions{Seed: ctx.Opts.Seed})
 	rows := make([]CrossTunerRow, 0, len(results))
 	for i, res := range results {
 		if res.Err != nil {
