@@ -1,5 +1,7 @@
 // Command tracegen generates and inspects synthetic spot-price traces — the
 // stand-in for the Kaggle "AWS Spot Pricing Market" dataset the paper uses.
+// -out writes the dataset's `timestamp,instance_type,price` layout, which
+// market.ReadCSV loads back bit for bit.
 //
 // Usage:
 //
@@ -8,9 +10,10 @@
 package main
 
 import (
-	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -19,21 +22,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and executes the command, writing reports to stdout and
+// usage errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		typeName = flag.String("type", "r3.xlarge", "instance type (Table III)")
-		days     = flag.Int("days", 11, "trace length in days")
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		out      = flag.String("out", "", "CSV output path (default stdout summary only)")
-		summary  = flag.Bool("summary", false, "print statistics for all six markets")
+		typeName = fs.String("type", "r3.xlarge", "instance type (Table III)")
+		days     = fs.Int("days", 11, "trace length in days")
+		seed     = fs.Uint64("seed", 1, "generator seed")
+		out      = fs.String("out", "", "CSV output path (default stdout summary only)")
+		summary  = fs.Bool("summary", false, "print statistics for all six markets")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	cat := market.DefaultCatalog()
 	specs, err := market.DefaultSpecs(cat)
@@ -44,7 +56,7 @@ func run() error {
 	end := start.Add(time.Duration(*days) * 24 * time.Hour)
 
 	if *summary {
-		fmt.Printf("%-12s %8s %8s %8s %8s %9s\n", "market", "od $/h", "avg $/h", "max $/h", "records", "disc.%")
+		fmt.Fprintf(stdout, "%-12s %8s %8s %8s %8s %9s\n", "market", "od $/h", "avg $/h", "max $/h", "records", "disc.%")
 		for _, spec := range specs {
 			tr, err := market.Generate(spec, start, end, *seed)
 			if err != nil {
@@ -55,7 +67,7 @@ func run() error {
 				return err
 			}
 			maxP := tr.MaxOver(start, end)
-			fmt.Printf("%-12s %8.3f %8.3f %8.3f %8d %8.1f%%\n",
+			fmt.Fprintf(stdout, "%-12s %8.3f %8.3f %8.3f %8d %8.1f%%\n",
 				spec.Type.Name, spec.Type.OnDemandPrice, avg, maxP,
 				len(tr.Records), 100*(1-avg/spec.Type.OnDemandPrice))
 		}
@@ -80,7 +92,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d records over %d days, avg $%.4f/h (on-demand $%.3f, discount %.1f%%), max $%.4f\n",
+	fmt.Fprintf(stdout, "%s: %d records over %d days, avg $%.4f/h (on-demand $%.3f, discount %.1f%%), max $%.4f\n",
 		*typeName, len(tr.Records), *days, avg, spec.Type.OnDemandPrice,
 		100*(1-avg/spec.Type.OnDemandPrice), tr.MaxOver(start, end))
 	if *out == "" {
@@ -91,19 +103,12 @@ func run() error {
 		return err
 	}
 	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"time", "price_usd_per_hour"}); err != nil {
+	if err := tr.WriteCSV(f); err != nil {
 		return err
 	}
-	for _, r := range tr.Records {
-		if err := w.Write([]string{r.At.Format(time.RFC3339), fmt.Sprintf("%.4f", r.Price)}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	return nil
 }
