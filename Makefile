@@ -3,7 +3,7 @@ GO ?= go
 # Total -short coverage, raised to the measured total (rounded down to 0.1)
 # whenever dead code leaves, so deletions cannot lower it; the cover target
 # (and CI's coverage lane) fail if the suite drops below it.
-COVER_FLOOR ?= 75.6
+COVER_FLOOR ?= 76.9
 
 .PHONY: all vet build test test-short bench bench-campaign bench-obs trace scenarios storm service fuzz cover ci
 
