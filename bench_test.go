@@ -16,6 +16,7 @@ package spottune
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -401,6 +402,131 @@ func BenchmarkRevPredInference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx := revpred.HistorySteps + i%(g.Len()-2*revpred.HistorySteps)
 		m.Predict(g, idx, g.Prices[idx]+0.05)
+	}
+}
+
+// quoteBench is the fixture of the deploy-path micro benchmarks: the
+// default six-type pool over two generated days (constant predictor) and a
+// fresh cluster whose clock starts at the campaign boundary. tick moves the
+// clock by an off-grid stride, so trailing-hour windows land between
+// minute records as they do mid-campaign.
+type quoteBench struct {
+	env     *campaign.Environment
+	cluster *cloudsim.Cluster
+	ticks   int
+}
+
+func newQuoteBench(b *testing.B, env *campaign.Environment) *quoteBench {
+	b.Helper()
+	if env == nil {
+		var err error
+		env, err = campaign.NewEnvironment(campaign.EnvOptions{
+			Seed: 1, Days: 2, TrainDays: 1, Predictor: campaign.PredictorConstant,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := &quoteBench{env: env}
+	q.reset(b)
+	return q
+}
+
+func (q *quoteBench) reset(b *testing.B) {
+	b.Helper()
+	c, err := q.env.NewCluster()
+	if err != nil {
+		b.Fatal(err)
+	}
+	q.cluster, q.ticks = c, 0
+}
+
+// tick advances the clock 67s, starting over on a fresh cluster (off the
+// timer) before the quotes would run past the day of generated prices.
+func (q *quoteBench) tick(b *testing.B) {
+	if q.ticks++; q.ticks < 1200 {
+		q.cluster.Clock().Sleep(67 * time.Second)
+		return
+	}
+	b.StopTimer()
+	q.reset(b)
+	b.StartTimer()
+}
+
+// BenchmarkAvgPriceLastHour measures one Eq. 1 trailing-hour quote
+// (cloudsim.Cluster.AvgPriceLastHour over the SoA store), cycling through
+// the default pool.
+func BenchmarkAvgPriceLastHour(b *testing.B) {
+	q := newQuoteBench(b, nil)
+	pool := q.env.Pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.cluster.AvgPriceLastHour(pool[i%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
+		if i%len(pool) == len(pool)-1 {
+			q.tick(b)
+		}
+	}
+}
+
+// BenchmarkSpotTuneDecide measures one spottune policy decision (Eq. 1–2
+// over the default pool: a current price, a revocation prediction and a
+// trailing-hour quote per member) against a real cluster.
+func BenchmarkSpotTuneDecide(b *testing.B) {
+	q := newQuoteBench(b, nil)
+	pol, err := q.env.NewPolicy(policy.SpotTuneName, 1, policy.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := policy.Context{
+		Trial:      policy.TrialInfo{ID: "hp-0", MaxSteps: 1000},
+		SecPerStep: func(string) float64 { return 1 },
+		Tracer:     obs.Nop{},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Market = q.cluster
+		if _, err := pol.Decide(ctx); err != nil {
+			b.Fatal(err)
+		}
+		q.tick(b)
+	}
+}
+
+// BenchmarkRequestSpotRejected measures the retriable spot rejections a
+// scheduler retries on every tick: a full market (every type at its
+// capacity of one) and a bid below the market price.
+func BenchmarkRequestSpotRejected(b *testing.B) {
+	q := newQuoteBench(b, nil)
+	env := *q.env
+	env.Catalog = env.Catalog.WithCapacity(1)
+	full := newQuoteBench(b, &env)
+	for _, name := range env.Pool {
+		if _, err := full.cluster.RequestSpot(name, 1e9, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		cluster  *cloudsim.Cluster
+		maxPrice float64
+		want     error
+	}{
+		{"capacity", full.cluster, 1e9, cloudsim.ErrCapacityUnavailable},
+		{"price", q.cluster, 0, cloudsim.ErrPriceAboveMax},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			pool := env.Pool
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.cluster.RequestSpot(pool[i%len(pool)], tc.maxPrice, nil); !errors.Is(err, tc.want) {
+					b.Fatalf("got %v, want %v", err, tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"spottune/internal/market"
@@ -100,6 +101,10 @@ type Instance struct {
 	// outside the cluster constructors.
 	Surge float64
 
+	// ti is the type's store trace index (spot instances only): billing
+	// and the per-type spot count address the market by it.
+	ti int
+
 	noticeEv simclock.EventRef
 	revokeEv simclock.EventRef
 	// onNotice is the subscriber registered at request time; fault
@@ -177,22 +182,28 @@ type Cluster struct {
 	// against (bit-identical to the Trace methods). It is immutable and may
 	// be shared across many clusters built from one environment.
 	store *market.Store
+	// types is the catalog entry of each market by store trace index (zero
+	// Name for a trace outside the catalog), resolved once so quotes and
+	// launches read the Capacity cap without a second name lookup.
+	types []market.InstanceType
 
 	nextID    int
 	instances map[string]*Instance
 	ledger    Ledger
 
-	// runningSpot counts live spot instances per type, enforcing the
-	// catalog's per-type Capacity cap (0 = unlimited). On-demand capacity
-	// is never capped.
-	runningSpot map[string]int
+	// runningSpot counts live spot instances by store trace index,
+	// enforcing the catalog's per-type Capacity cap (0 = unlimited).
+	// On-demand capacity is never capped.
+	runningSpot []int
 
 	// domain, when attached (SetCapacityDomain), shares per-type spot
 	// capacity and demand-pressure pricing with every other cluster on the
 	// same domain (multi-tenant service shards). Nil — the default —
 	// keeps the cluster a private world, bit-identical to pre-service
-	// behavior.
-	domain *CapacityDomain
+	// behavior. domainSlot maps each catalog market's store index to its
+	// dense domain slot (-1 for a trace outside the catalog).
+	domain     *CapacityDomain
+	domainSlot []int
 
 	// blackouts are the installed capacity-unavailability windows, in
 	// installation order (fault injection; see faults.go).
@@ -224,21 +235,25 @@ func NewClusterWithStore(clk *simclock.Virtual, cat *market.Catalog, traces mark
 		}
 		store = market.NewStore(traces)
 	}
-	for _, name := range cat.Names() {
-		if _, ok := traces[name]; !ok {
-			return nil, fmt.Errorf("cloudsim: no price trace for instance type %q", name)
+	types := make([]market.InstanceType, len(store.Names()))
+	for _, it := range cat.Types() {
+		if _, ok := traces[it.Name]; !ok {
+			return nil, fmt.Errorf("cloudsim: no price trace for instance type %q", it.Name)
 		}
-		if _, ok := store.Lookup(name); !ok {
-			return nil, fmt.Errorf("cloudsim: store has no trace for instance type %q", name)
+		ti, ok := store.Lookup(it.Name)
+		if !ok {
+			return nil, fmt.Errorf("cloudsim: store has no trace for instance type %q", it.Name)
 		}
+		types[ti] = it
 	}
 	return &Cluster{
 		clk:         clk,
 		catalog:     cat,
 		traces:      traces,
 		store:       store,
+		types:       types,
 		instances:   make(map[string]*Instance),
-		runningSpot: make(map[string]int),
+		runningSpot: make([]int, len(types)),
 		trc:         obs.Nop{},
 	}, nil
 }
@@ -257,19 +272,28 @@ func (c *Cluster) SetTracer(t obs.Tracer) {
 // SetCapacityDomain attaches the cluster to a shared capacity/demand domain
 // (nil detaches). Attach before any spot request: the domain must see every
 // live spot instance to keep its accounting conserved.
-func (c *Cluster) SetCapacityDomain(d *CapacityDomain) { c.domain = d }
+func (c *Cluster) SetCapacityDomain(d *CapacityDomain) {
+	c.domain, c.domainSlot = d, nil
+	if d == nil {
+		return
+	}
+	c.domainSlot = make([]int, len(c.types))
+	for ti, it := range c.types {
+		c.domainSlot[ti] = -1
+		if it.Name != "" {
+			c.domainSlot[ti] = d.slot(it.Name)
+		}
+	}
+}
 
-// surgeFor is the live demand-pressure multiplier quoted for a type (1
-// without a domain).
-func (c *Cluster) surgeFor(typeName string) float64 {
+// surgeAt is the live demand-pressure multiplier quoted for the market at
+// store index ti (1 without a domain, and for a trace outside the catalog,
+// whose zero Capacity reads as uncapped).
+func (c *Cluster) surgeAt(ti int) float64 {
 	if c.domain == nil {
 		return 1
 	}
-	it, ok := c.catalog.Lookup(typeName)
-	if !ok {
-		return 1
-	}
-	return c.domain.SurgeFactor(typeName, it.Capacity)
+	return c.domain.surgeFactor(c.domainSlot[ti], c.types[ti].Capacity)
 }
 
 // Clock exposes the cluster's virtual clock.
@@ -293,7 +317,7 @@ func (c *Cluster) CurrentPrice(typeName string) (float64, error) {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
 	p, _ := c.store.PriceAt(ti, c.clk.Now())
-	return p * c.surgeFor(typeName), nil
+	return p * c.surgeAt(ti), nil
 }
 
 // AvgPriceLastHour returns the time-weighted average market price over the
@@ -305,7 +329,7 @@ func (c *Cluster) AvgPriceLastHour(typeName string) (float64, error) {
 	}
 	now := c.clk.Now()
 	avg, err := c.store.AvgOver(ti, now.Add(-time.Hour), now)
-	return avg * c.surgeFor(typeName), err
+	return avg * c.surgeAt(ti), err
 }
 
 // OnDemandPrice returns the fixed hourly on-demand quote for a type — the
@@ -326,48 +350,55 @@ var ErrPriceAboveMax = errors.New("cloudsim: market price above requested maximu
 // maximum price. If the market ever rises above maxPrice, a notice fires
 // NoticeLeadTime beforehand (onNotice may be nil) and the instance is then
 // revoked with first-hour refunds applied.
+//
+// The retriable rejections — ErrCapacityUnavailable (blackout, per-type
+// cap, shared-domain cap) and ErrPriceAboveMax — are returned as the bare
+// sentinels, unwrapped: they are market state a scheduler retries on
+// every tick, so rejecting allocates nothing. A caller that reports one
+// adds the type name in its own wrap.
 func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice NoticeFunc) (*Instance, error) {
-	it, ok := c.catalog.Lookup(typeName)
-	if !ok {
+	ti, ok := c.store.Lookup(typeName)
+	if !ok || c.types[ti].Name == "" {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	ti, _ := c.store.Lookup(typeName)
+	it := &c.types[ti]
 	now := c.clk.Now()
 	if c.blackedOut(typeName, now) {
-		return nil, fmt.Errorf("%w: %s at %v", ErrCapacityUnavailable, typeName, now)
+		return nil, ErrCapacityUnavailable
 	}
 	// The catalog's per-type cap is the same retriable market state as a
 	// blackout window: the region has no room for another instance of this
 	// type right now, try again (or elsewhere) later.
-	if it.Capacity > 0 && c.runningSpot[typeName] >= it.Capacity {
-		return nil, fmt.Errorf("%w: %s at capacity %d", ErrCapacityUnavailable, typeName, it.Capacity)
+	if it.Capacity > 0 && c.runningSpot[ti] >= it.Capacity {
+		return nil, ErrCapacityUnavailable
 	}
 	// The shared domain's cap counts co-resident tenants' fleets too, so a
 	// cluster can be refused room its private count would have granted.
-	if c.domain != nil && !c.domain.hasRoom(typeName, it.Capacity) {
-		return nil, fmt.Errorf("%w: %s at shared capacity %d", ErrCapacityUnavailable, typeName, it.Capacity)
+	if c.domain != nil && !c.domain.hasRoom(c.domainSlot[ti], it.Capacity) {
+		return nil, ErrCapacityUnavailable
 	}
 	cur, _ := c.store.PriceAt(ti, now)
 	if cur > maxPrice {
-		return nil, fmt.Errorf("%w: %s at %.4f > max %.4f", ErrPriceAboveMax, typeName, cur, maxPrice)
+		return nil, ErrPriceAboveMax
 	}
 	c.nextID++
 	inst := &Instance{
-		ID:         fmt.Sprintf("i-%06d", c.nextID),
-		Type:       it,
+		ID:         instanceID(c.nextID),
+		Type:       *it,
 		MaxPrice:   maxPrice,
 		LaunchedAt: now,
 		State:      StateRunning,
 		Surge:      1,
+		ti:         ti,
 		onNotice:   onNotice,
 	}
 	c.instances[inst.ID] = inst
-	c.runningSpot[typeName]++
+	c.runningSpot[ti]++
 	if c.domain != nil {
 		// Sampled after acquiring, so an instance's own demand is part of
 		// the pressure it is billed under.
-		c.domain.acquire(typeName)
-		inst.Surge = c.domain.SurgeFactor(typeName, it.Capacity)
+		c.domain.acquire(c.domainSlot[ti])
+		inst.Surge = c.domain.surgeFactor(c.domainSlot[ti], it.Capacity)
 	}
 
 	if exceedAt, found := c.store.FirstExceed(ti, now, maxPrice); found {
@@ -405,7 +436,7 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 	}
 	c.nextID++
 	inst := &Instance{
-		ID:         fmt.Sprintf("i-%06d", c.nextID),
+		ID:         instanceID(c.nextID),
 		Type:       it,
 		OnDemand:   true,
 		LaunchedAt: c.clk.Now(),
@@ -414,6 +445,17 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 	}
 	c.instances[inst.ID] = inst
 	return inst, nil
+}
+
+// instanceID formats the n-th instance ID as "i-" and at least six
+// zero-padded digits, the same string as fmt.Sprintf("i-%06d", n).
+func instanceID(n int) string {
+	var buf [24]byte
+	b := append(buf[:0], "i-"...)
+	for w := 100000; w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // Terminate shuts an instance down at the user's request (full charge, no
@@ -442,9 +484,9 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	inst.EndedAt = at
 	inst.End = reason
 	if !inst.OnDemand {
-		c.runningSpot[inst.Type.Name]--
+		c.runningSpot[inst.ti]--
 		if c.domain != nil {
-			c.domain.release(inst.Type.Name)
+			c.domain.release(c.domainSlot[inst.ti])
 		}
 	}
 
@@ -460,15 +502,12 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	if dur > 0 {
 		if inst.OnDemand {
 			usage.GrossCost = inst.Type.OnDemandPrice * dur.Hours()
-		} else if ti, ok := c.store.Lookup(inst.Type.Name); ok {
-			avg, err := c.store.AvgOver(ti, inst.LaunchedAt, at)
-			if err == nil {
-				surge := inst.Surge
-				if surge == 0 {
-					surge = 1
-				}
-				usage.GrossCost = avg * dur.Hours() * surge
+		} else if avg, err := c.store.AvgOver(inst.ti, inst.LaunchedAt, at); err == nil {
+			surge := inst.Surge
+			if surge == 0 {
+				surge = 1
 			}
+			usage.GrossCost = avg * dur.Hours() * surge
 		}
 	}
 	// First-instance-hour refund: only provider revocations qualify.

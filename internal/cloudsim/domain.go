@@ -19,7 +19,12 @@ package cloudsim
 // unchanged under contention.
 type CapacityDomain struct {
 	slope float64
-	inUse map[string]int
+	// slots interns the type names of attached clusters' catalogs into
+	// dense indices of inUse; each cluster resolves its markets' slots
+	// once at SetCapacityDomain, so launches and quotes count and price
+	// by index.
+	slots map[string]int
+	inUse []int
 }
 
 // NewCapacityDomain returns an empty domain. surgeSlope is the demand
@@ -27,7 +32,18 @@ type CapacityDomain struct {
 // the launch-sampled billing multiplier) is 1+surgeSlope times the trace
 // price. A zero slope shares capacity without moving prices.
 func NewCapacityDomain(surgeSlope float64) *CapacityDomain {
-	return &CapacityDomain{slope: surgeSlope, inUse: make(map[string]int)}
+	return &CapacityDomain{slope: surgeSlope, slots: make(map[string]int)}
+}
+
+// slot returns the type's dense index, interning it on first sight.
+func (d *CapacityDomain) slot(typeName string) int {
+	i, ok := d.slots[typeName]
+	if !ok {
+		i = len(d.inUse)
+		d.slots[typeName] = i
+		d.inUse = append(d.inUse, 0)
+	}
+	return i
 }
 
 // InUse reports the live spot instances of a type across every attached
@@ -36,28 +52,31 @@ func (d *CapacityDomain) InUse(typeName string) int {
 	if d == nil {
 		return 0
 	}
-	return d.inUse[typeName]
+	if i, ok := d.slots[typeName]; ok {
+		return d.inUse[i]
+	}
+	return 0
 }
 
-// hasRoom reports whether one more spot instance of the type fits under
-// the given per-type limit (0 = unlimited).
-func (d *CapacityDomain) hasRoom(typeName string, capacity int) bool {
-	return capacity <= 0 || d.inUse[typeName] < capacity
+// hasRoom reports whether one more spot instance of the type at slot fits
+// under the given per-type limit (0 = unlimited).
+func (d *CapacityDomain) hasRoom(slot, capacity int) bool {
+	return capacity <= 0 || d.inUse[slot] < capacity
 }
 
 // acquire counts one launched spot instance. The caller must have checked
 // hasRoom under the same shard turn.
-func (d *CapacityDomain) acquire(typeName string) { d.inUse[typeName]++ }
+func (d *CapacityDomain) acquire(slot int) { d.inUse[slot]++ }
 
 // release returns one spot instance's capacity at settlement.
-func (d *CapacityDomain) release(typeName string) { d.inUse[typeName]-- }
+func (d *CapacityDomain) release(slot int) { d.inUse[slot]-- }
 
-// SurgeFactor is the demand-pressure price multiplier for a type right now:
-// 1 + slope·(inUse/capacity). Uncapped types (capacity 0) and a zero slope
-// quote the flat trace price.
-func (d *CapacityDomain) SurgeFactor(typeName string, capacity int) float64 {
-	if d == nil || d.slope == 0 || capacity <= 0 {
+// surgeFactor is the demand-pressure price multiplier for the type at slot
+// right now: 1 + slope·(inUse/capacity). Uncapped types (capacity 0) and a
+// zero slope quote the flat trace price.
+func (d *CapacityDomain) surgeFactor(slot, capacity int) float64 {
+	if d.slope == 0 || capacity <= 0 {
 		return 1
 	}
-	return 1 + d.slope*float64(d.inUse[typeName])/float64(capacity)
+	return 1 + d.slope*float64(d.inUse[slot])/float64(capacity)
 }

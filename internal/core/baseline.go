@@ -57,7 +57,7 @@ func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, cfg Single
 
 	inst, err := cluster.RequestSpot(cfg.TypeName, it.OnDemandPrice*cfg.MaxPriceFactor, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: baseline request: %w", err)
+		return nil, fmt.Errorf("core: baseline request for %s: %w", cfg.TypeName, err)
 	}
 	totalSteps := 0
 	for _, tr := range trials {

@@ -292,6 +292,10 @@ type trialState struct {
 	// return the cached extrapolation and an appended curve re-solves only
 	// the growing tail stage — bit-identical to a cold refit either way.
 	trend earlycurve.TrendPredictor
+
+	// secPerStep is the trial's performance-matrix row as
+	// policy.Context.SecPerStep, bound once so decisions allocate nothing.
+	secPerStep func(typeName string) float64
 }
 
 // forgetRecoveryState clears the trial's redeploy pacing once it leaves the
@@ -369,6 +373,15 @@ type Orchestrator struct {
 	// schedule).
 	tuner search.Tuner
 
+	// revRate is policy.Context.RevRate over rates, bound once.
+	revRate func(typeName string) float64
+	// spare is the assignment the next launch attempt fills, and
+	// spareNotice the termination-notice callback bound to it. A rejected
+	// request leaves both for the next attempt, so trials retrying against
+	// a full or overpriced market allocate only when a launch succeeds.
+	spare       *assignment
+	spareNotice cloudsim.NoticeFunc
+
 	// trc is the flight recorder (Config.Tracer; never nil — obs.Nop when
 	// tracing is off). Also installed on the cluster, so the recording
 	// interleaves orchestration and billing events in true emission order.
@@ -413,14 +426,17 @@ func NewPolicyOrchestrator(
 		rates:    resilience.NewRateEstimator(),
 	}
 	o.res = o.cfg.Resilience
+	o.revRate = o.rates.RevocationsPerHour
 	states := make([]trialState, len(trials))
 	for i, tr := range trials {
-		if _, dup := o.byID[tr.ID()]; dup {
-			return nil, fmt.Errorf("core: duplicate trial %q", tr.ID())
+		id := tr.ID()
+		if _, dup := o.byID[id]; dup {
+			return nil, fmt.Errorf("core: duplicate trial %q", id)
 		}
 		st := &states[i]
 		st.tr = tr
-		o.trials[i], o.byID[tr.ID()], o.order[i] = st, st, tr.ID()
+		st.secPerStep = func(tn string) float64 { return o.perf.Get(tn, id) }
+		o.trials[i], o.byID[id], o.order[i] = st, st, id
 	}
 	o.tuner = o.cfg.Tuner
 	if o.tuner == nil {
@@ -796,8 +812,8 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		if err != nil {
 			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
-		a := &assignment{st: st, stepsBefore: st.tr.CompletedSteps(), lastCkptSteps: st.tr.CompletedSteps()}
-		inst, err := o.launch(a, req)
+		a := o.nextAssignment(st)
+		inst, err := o.launch(req)
 		switch {
 		case errors.Is(err, cloudsim.ErrPriceAboveMax):
 			// Market moved against us inside this tick; retry later.
@@ -815,6 +831,7 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 			// error, not market state — surface it instead of spinning.
 			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
+		o.spare = nil // a and spareNotice now belong to inst
 		if err := o.place(a, inst, req, now); err != nil {
 			return time.Time{}, false, err
 		}
@@ -848,8 +865,8 @@ func (o *Orchestrator) decide(st *trialState, incumbent bool) (policy.Request, e
 			LastRevoked:    st.lastNoticed,
 		},
 		ActiveOnDemand: o.activeOnDemand(),
-		SecPerStep:     func(tn string) float64 { return o.perf.Get(tn, id) },
-		RevRate:        func(tn string) float64 { return o.rates.RevocationsPerHour(tn) },
+		SecPerStep:     st.secPerStep,
+		RevRate:        o.revRate,
 		Tracer:         o.trc,
 	}
 	if o.slack.Level() >= resilience.LevelOnDemand {
@@ -858,13 +875,23 @@ func (o *Orchestrator) decide(st *trialState, incumbent bool) (policy.Request, e
 	return o.pol.Decide(ctx)
 }
 
-// launch requests the decided instance for the assignment. A spot
-// instance's termination notice is routed to onNotice.
-func (o *Orchestrator) launch(a *assignment, req policy.Request) (*cloudsim.Instance, error) {
+// nextAssignment returns the spare assignment, reset for st's next launch
+// attempt (allocating the spare and its notice callback when the previous
+// launch consumed them).
+func (o *Orchestrator) nextAssignment(st *trialState) *assignment {
+	if o.spare == nil {
+		a := &assignment{}
+		o.spare, o.spareNotice = a, func(_ *cloudsim.Instance, at time.Time) { o.onNotice(a, at) }
+	}
+	*o.spare = assignment{st: st, stepsBefore: st.tr.CompletedSteps(), lastCkptSteps: st.tr.CompletedSteps()}
+	return o.spare
+}
+
+// launch requests the decided instance for the spare assignment. A spot
+// instance's termination notice is routed to onNotice through spareNotice.
+func (o *Orchestrator) launch(req policy.Request) (*cloudsim.Instance, error) {
 	if !req.OnDemand {
-		return o.cluster.RequestSpot(req.TypeName, req.MaxPrice, func(_ *cloudsim.Instance, at time.Time) {
-			o.onNotice(a, at)
-		})
+		return o.cluster.RequestSpot(req.TypeName, req.MaxPrice, o.spareNotice)
 	}
 	inst, err := o.cluster.RequestOnDemand(req.TypeName)
 	if err == nil {
@@ -1312,13 +1339,18 @@ func (o *Orchestrator) activeOnDemand() int {
 
 // incumbentBest returns the trial whose last observed metric currently
 // leads the campaign, or "" before any trial has reported a point.
-// MixedFleet-style policies pin it on reliable capacity. Delegates to the
-// engine-wide leaderboard rule (search.BestByLast) through the cheap
-// LastPoint accessor — this runs at every deployment decision, so it must
-// not pay for the full tuner-facing status snapshot.
+// MixedFleet-style policies pin it on reliable capacity. It applies the
+// engine-wide leaderboard rule (search.BestByLast: the first trial in
+// submission order with the strictly lowest last value) directly over the
+// trial records through the cheap LastPoint accessor — this runs at every
+// deployment decision, so it must not pay for an ID lookup per trial or
+// the full tuner-facing status snapshot.
 func (o *Orchestrator) incumbentBest() string {
-	return search.BestByLast(o.order, func(id string) (float64, bool) {
-		p, ok := o.byID[id].tr.LastPoint()
-		return p.Value, ok
-	})
+	best, bestVal := "", math.Inf(1)
+	for _, st := range o.trials {
+		if p, ok := st.tr.LastPoint(); ok && p.Value < bestVal {
+			best, bestVal = st.tr.ID(), p.Value
+		}
+	}
+	return best
 }

@@ -297,23 +297,6 @@ func TestMaxOverHalfOpenBoundaries(t *testing.T) {
 	if got := tr.MaxOver(t0.Add(-2*time.Hour), t0.Add(-time.Hour)); got != 0 {
 		t.Errorf("MaxOver before trace = %v, want 0", got)
 	}
-	// The SoA mirror follows the same contract bit for bit.
-	store := NewStore(TraceSet{"test": tr})
-	ti, ok := store.Lookup("test")
-	if !ok {
-		t.Fatal("trace missing from store")
-	}
-	for _, w := range [][2]time.Duration{
-		{0, 10 * time.Minute},
-		{10 * time.Minute, 15 * time.Minute},
-		{12 * time.Minute, 18 * time.Minute},
-		{10 * time.Minute, 20 * time.Minute},
-	} {
-		want := tr.MaxOver(t0.Add(w[0]), t0.Add(w[1]))
-		if got := store.MaxOver(ti, t0.Add(w[0]), t0.Add(w[1])); got != want {
-			t.Errorf("Store.MaxOver(+%v,+%v) = %v, want %v", w[0], w[1], got, want)
-		}
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

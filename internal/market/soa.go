@@ -110,6 +110,15 @@ func (s *Store) PriceAt(ti int, t time.Time) (price float64, ok bool) {
 
 // AvgOver is Trace.AvgOver by trace index: the time-weighted average price
 // over [from, to), segment by segment in the same floating-point order.
+//
+// The window splits into a leading partial segment (from → first record
+// after it), whole record-to-record segments, and a trailing partial
+// segment (last record before to → to). Each segment adds price·seconds to
+// the sum exactly as Trace.AvgOver does; the only saving is that a whole
+// segment reuses the previous one's seconds when its nanosecond length is
+// the same. Duration.Seconds is a pure function of the length, so on the
+// 1-minute grid the generators emit the conversion runs once per call
+// instead of once per record, with bit-identical products.
 func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	if !from.Before(to) {
 		return 0, fmt.Errorf("market: AvgOver with from %v >= to %v", from, to)
@@ -121,47 +130,38 @@ func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	at := s.atNanos[lo:hi]
 	pr := s.prices[lo:hi]
 	n := len(at)
+	pr = pr[:n] // proves pr[k] in bounds for k < n, so the loop has no checks
 	fromNanos, toNanos := from.UnixNano(), to.UnixNano()
+	total := time.Duration(toNanos - fromNanos).Seconds()
 
 	i := searchAfter(at, fromNanos)
-	var p float64
-	if i == 0 {
-		p = pr[0]
-	} else {
+	p := pr[0]
+	if i > 0 {
 		p = pr[i-1]
 	}
 	sum := 0.0 // price·seconds
-	cursor := fromNanos
-	for cursor < toNanos {
-		next := toNanos
-		if i < n && at[i] < toNanos {
-			next = at[i]
-		}
-		sum += p * time.Duration(next-cursor).Seconds()
-		cursor = next
-		if i < n && cursor == at[i] {
-			p = pr[i]
-			i++
-		}
+	if i == n || at[i] >= toNanos {
+		// No price change inside the window: one segment.
+		sum += p * total
+		return sum / total, nil
 	}
-	return sum / time.Duration(toNanos-fromNanos).Seconds(), nil
-}
-
-// MaxOver is Trace.MaxOver by trace index: the maximum price in force over
-// the half-open window [from, to), including the price effective at from.
-func (s *Store) MaxOver(ti int, from, to time.Time) float64 {
-	lo, hi := s.span(ti)
-	maxP := 0.0
-	if p, ok := s.PriceAt(ti, from); ok && p > maxP {
-		maxP = p
-	}
-	fromNanos, toNanos := from.UnixNano(), to.UnixNano()
-	for i := lo; i < hi; i++ {
-		if s.atNanos[i] >= fromNanos && s.atNanos[i] < toNanos && s.prices[i] > maxP {
-			maxP = s.prices[i]
+	sum += p * time.Duration(at[i]-fromNanos).Seconds()
+	prev, p := at[i], pr[i]
+	var segNanos int64
+	segSecs := 0.0 // always time.Duration(segNanos).Seconds()
+	for k := i + 1; k < n; k++ {
+		next := at[k]
+		if next >= toNanos {
+			break
 		}
+		if d := next - prev; d != segNanos {
+			segNanos, segSecs = d, time.Duration(d).Seconds()
+		}
+		sum += p * segSecs
+		prev, p = next, pr[k]
 	}
-	return maxP
+	sum += p * time.Duration(toNanos-prev).Seconds()
+	return sum / total, nil
 }
 
 // FirstExceed returns the first instant strictly after `after` at which the

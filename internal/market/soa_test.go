@@ -88,10 +88,53 @@ func TestStoreMatchesTraceBitIdentical(t *testing.T) {
 					t.Fatalf("seed %d %s: AvgOver(%v,%v) = %x want %x",
 						seed, name, from, to, math.Float64bits(gotAvg), math.Float64bits(wantAvg))
 				}
-				wantMax := tr.MaxOver(from, to)
-				gotMax := store.MaxOver(ti, from, to)
-				if math.Float64bits(wantMax) != math.Float64bits(gotMax) {
-					t.Fatalf("seed %d %s: MaxOver(%v,%v) = %v want %v", seed, name, from, to, gotMax, wantMax)
+			}
+		}
+	}
+}
+
+// TestStoreTrailingHourMatchesTrace pins the window shape production asks
+// for — the trailing hour [now−1h, now) of Eq. 1 quotes — bit for bit
+// against Trace.AvgOver, on the generators' 1-minute grid (where the
+// store reuses one segment length across the whole window) and on
+// irregular gaps (where the length changes every segment).
+func TestStoreTrailingHourMatchesTrace(t *testing.T) {
+	specs, err := DefaultSpecs(DefaultCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	grid, err := GenerateSet(specs, start, start.Add(5*24*time.Hour), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ts := range map[string]TraceSet{"grid": grid, "irregular": randomTraceSet(11, 3, 400)} {
+		store := NewStore(ts)
+		rng := rand.New(rand.NewPCG(11, 0x70a1))
+		for typ, tr := range ts {
+			ti, _ := store.Lookup(typ)
+			nows := []time.Time{
+				tr.Start().Add(-time.Minute),     // whole window before the first record
+				tr.Start().Add(30 * time.Minute), // window straddles the first record
+				tr.End(),
+				tr.End().Add(30 * time.Minute), // window straddles the last record
+				tr.End().Add(3 * time.Hour),    // whole window past the last record
+			}
+			for k := 0; k < 100; k++ {
+				r := tr.Records[rng.IntN(len(tr.Records))].At
+				off := tr.Start().Add(time.Duration(rng.Int64N(int64(tr.End().Sub(tr.Start())))))
+				nows = append(nows, r, r.Add(-time.Nanosecond), r.Add(time.Nanosecond), off)
+			}
+			for _, now := range nows {
+				from := now.Add(-time.Hour)
+				want, wantErr := tr.AvgOver(from, now)
+				got, gotErr := store.AvgOver(ti, from, now)
+				if wantErr != nil || gotErr != nil {
+					t.Fatalf("%s %s: AvgOver errors %v / %v", name, typ, wantErr, gotErr)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s: trailing hour to %v = %x, want %x",
+						name, typ, now, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package revpred
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -75,6 +76,53 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			if math.Float64bits(out[k]) != math.Float64bits(want) {
 				t.Errorf("minute %d maxPrice %v: batch %x, sequential %x",
 					i, mp, math.Float64bits(out[k]), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestPredictConcurrentMatchesSequential shares one model between
+// goroutines that each slide their own window forward, as parallel sweep
+// workers do, so scratches change hands between callers at every step.
+// Every result must equal the single-caller answer bit for bit.
+func TestPredictConcurrentMatchesSequential(t *testing.T) {
+	g := spikyGrid(t, 3)
+	m, err := Train(g, 0, g.Len(), Config{Hidden: 6, Depth: 2, Epochs: 1, BatchSize: 16, Stride: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, steps = 4, 40
+	maxPrices := []float64{0.05, 0.2}
+	start := func(w int) int { return HistorySteps + 100*w }
+	want := make([][]float64, workers)
+	for w := range want {
+		for k := 0; k < steps; k++ {
+			want[w] = m.PredictBatch(g, start(w)+k, maxPrices, want[w])
+		}
+	}
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < steps; k++ {
+				i := start(w) + k
+				if k%2 == 0 {
+					got[w] = m.PredictBatch(g, i, maxPrices, got[w])
+					continue
+				}
+				for _, mp := range maxPrices {
+					got[w] = append(got[w], m.Predict(g, i, mp))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range want {
+		for k := range want[w] {
+			if math.Float64bits(got[w][k]) != math.Float64bits(want[w][k]) {
+				t.Fatalf("worker %d result %d: %x, want %x", w, k, math.Float64bits(got[w][k]), math.Float64bits(want[w][k]))
 			}
 		}
 	}

@@ -211,7 +211,7 @@ func classBalance(samples []Sample) (phiPos, phiNeg float64) {
 
 // Model is a trained RevPred network for one spot market. Predict is safe
 // for concurrent use: per-call scratch (feature windows, forward workspace)
-// comes from an internal pool, never from shared mutable state.
+// comes from an internal free list, never from shared mutable state.
 type Model struct {
 	Type   market.InstanceType
 	Hidden int
@@ -224,15 +224,39 @@ type Model struct {
 	// loss weighting and the Eq. 3 odds recalibration.
 	PhiPos, PhiNeg float64
 
-	// scratch pools *inferScratch values. Each holds a sliding feature
-	// window plus the history branch's hidden state for its last (grid,
-	// minute), so the common provisioning pattern — every candidate
-	// maximum price queried at the same minute, minutes advancing one at
-	// a time — reuses both the assembled features and the LSTM pass.
-	scratch sync.Pool
+	// scratch is a free list of *inferScratch values. Each holds a
+	// sliding feature window plus the history branch's hidden state for
+	// its last (grid, minute), so the common provisioning pattern — every
+	// candidate maximum price queried at the same minute, minutes
+	// advancing one at a time — reuses both the assembled features and
+	// the LSTM pass. It grows to the peak number of concurrent callers and
+	// never drops an entry, unlike a sync.Pool (which the GC and the race
+	// detector empty at will), so a warm model predicts without
+	// allocating in every build mode.
+	scratchMu sync.Mutex
+	scratch   []*inferScratch
+	// recent remembers the history-branch output of the last
+	// recentWindows windows any caller computed (guarded by scratchMu;
+	// recentNext is the entry overwritten next). A caller whose scratch
+	// holds another window copies a remembered output instead of rerunning
+	// the LSTM, so concurrent callers that take each other's scratches
+	// still reuse each other's passes.
+	recent     []recentWindow
+	recentNext int
 }
 
-// inferScratch is the per-goroutine inference state. All caching is exact:
+// recentWindows is how many history-branch outputs a model remembers
+// across callers: one current window per concurrent caller, with slack.
+const recentWindows = 8
+
+// recentWindow is one remembered history-branch output for (grid, minute).
+type recentWindow struct {
+	grid   *market.Grid
+	minute int
+	hidden []float64
+}
+
+// inferScratch is one caller's inference state. All caching is exact:
 // reused feature rows and hidden states are pure functions of (grid,
 // minute), so cached and cold paths return identical bits.
 type inferScratch struct {
@@ -250,9 +274,33 @@ type inferScratch struct {
 	hiddenOK   bool
 }
 
-func (m *Model) getScratch() *inferScratch {
-	if sc, ok := m.scratch.Get().(*inferScratch); ok {
+// getScratch takes the free scratch whose cached window serves minute i of
+// g best: the latest window at or before i that still overlaps it (the
+// same minute reuses the history output outright), else the most recently
+// returned scratch, else a new one. Choosing by content rather than by
+// caller keeps each concurrent caller's cache warm however their calls
+// interleave; every choice returns the same bits.
+func (m *Model) getScratch(g *market.Grid, i int) *inferScratch {
+	m.scratchMu.Lock()
+	defer m.scratchMu.Unlock()
+	if n := len(m.scratch); n > 0 {
+		pick, pickMinute := n-1, -1
+		for k, sc := range m.scratch {
+			if sc.valid && sc.grid == g && sc.minute <= i && i-sc.minute < HistorySteps && sc.minute > pickMinute {
+				pick, pickMinute = k, sc.minute
+			}
+		}
+		sc := m.scratch[pick]
+		m.scratch[pick] = m.scratch[n-1]
+		m.scratch = m.scratch[:n-1]
 		return sc
+	}
+	if m.recent == nil {
+		buf := make([]float64, recentWindows*m.Hidden)
+		m.recent = make([]recentWindow, recentWindows)
+		for k := range m.recent {
+			m.recent[k].hidden = buf[k*m.Hidden : (k+1)*m.Hidden]
+		}
 	}
 	sc := &inferScratch{
 		ws:         nn.NewWorkspace(),
@@ -265,6 +313,38 @@ func (m *Model) getScratch() *inferScratch {
 		sc.hist[k] = sc.histBuf[k*market.FeatureCount : (k+1)*market.FeatureCount]
 	}
 	return sc
+}
+
+// putScratch returns sc to the free list for the next caller.
+func (m *Model) putScratch(sc *inferScratch) {
+	m.scratchMu.Lock()
+	m.scratch = append(m.scratch, sc)
+	m.scratchMu.Unlock()
+}
+
+// recall copies the remembered history-branch output for minute i of g
+// into dst, reporting whether one was remembered.
+func (m *Model) recall(g *market.Grid, i int, dst []float64) bool {
+	m.scratchMu.Lock()
+	defer m.scratchMu.Unlock()
+	for k := range m.recent {
+		if w := &m.recent[k]; w.grid == g && w.minute == i {
+			copy(dst, w.hidden)
+			return true
+		}
+	}
+	return false
+}
+
+// remember records the history-branch output for minute i of g, replacing
+// the oldest remembered one.
+func (m *Model) remember(g *market.Grid, i int, hidden []float64) {
+	m.scratchMu.Lock()
+	defer m.scratchMu.Unlock()
+	w := &m.recent[m.recentNext]
+	w.grid, w.minute = g, i
+	copy(w.hidden, hidden)
+	m.recentNext = (m.recentNext + 1) % len(m.recent)
 }
 
 // Params returns all trainable parameters.
@@ -378,8 +458,8 @@ func (m *Model) Predict(g *market.Grid, i int, maxPrice float64) float64 {
 		// Not enough history yet: fall back to the base rate.
 		return m.PhiPos
 	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	sc := m.getScratch(g, i)
+	defer m.putScratch(sc)
 	m.prepareHistory(sc, g, i)
 	return m.scoreAt(sc, g, i, maxPrice)
 }
@@ -398,8 +478,8 @@ func (m *Model) PredictBatch(g *market.Grid, i int, maxPrices []float64, out []f
 		}
 		return out
 	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	sc := m.getScratch(g, i)
+	defer m.putScratch(sc)
 	m.prepareHistory(sc, g, i)
 	for _, maxPrice := range maxPrices {
 		out = append(out, m.scoreAt(sc, g, i, maxPrice))
@@ -430,9 +510,12 @@ func (m *Model) prepareHistory(sc *inferScratch, g *market.Grid, i int) {
 	}
 	sc.grid, sc.minute, sc.valid = g, i, true
 	if !sc.hiddenOK {
-		sc.ws.Reset()
-		hs := m.hist.ForwardSeqInferWS(sc.ws, sc.hist)
-		copy(sc.lastHidden, hs[len(hs)-1])
+		if !m.recall(g, i, sc.lastHidden) {
+			sc.ws.Reset()
+			hs := m.hist.ForwardSeqInferWS(sc.ws, sc.hist)
+			copy(sc.lastHidden, hs[len(hs)-1])
+			m.remember(g, i, sc.lastHidden)
+		}
 		sc.hiddenOK = true
 	}
 }
