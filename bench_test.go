@@ -299,6 +299,22 @@ func BenchmarkMarketGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldBuild measures one quick battery world: a 5-day region of
+// every catalog market, its SoA store and 1-minute grids, and constant
+// predictors on a 2-day training split — what Matrix.Stream builds per spec
+// at quick fidelity. Run with -benchmem for allocs/op.
+func BenchmarkWorldBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := campaign.NewEnvironment(campaign.EnvOptions{
+			Seed: uint64(i) + 1, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/world")
+}
+
 // BenchmarkLSTMForwardBackward measures one RevPred-shaped LSTM training
 // step (59 timesteps, 6 features, hidden 24, depth 3) through the reusable
 // BPTT workspace, exactly as revpred.Train drives it.

@@ -32,39 +32,52 @@ type Grid struct {
 	cumChanges []int
 }
 
-// NewGrid interpolates tr onto a 1-minute grid over [from, to) and
-// precomputes feature accumulators.
+// NewGrid resamples tr onto a 1-minute grid over [from, to), carrying the
+// last price forward — the paper's preprocessing step for the sparse Kaggle
+// dataset (§IV-A1) — and precomputes the feature accumulators.
+//
+// Minute i holds tr.PriceAt(from + i·1m) exactly: the first record's price
+// before the trace starts, the last record's price after it ends. One forward
+// walk fills the prices and accumulators together; the record cursor only
+// moves forward, so the cost is O(minutes + records).
 func NewGrid(it InstanceType, tr *Trace, from, to time.Time) (*Grid, error) {
 	if it.Name != tr.Type {
 		return nil, fmt.Errorf("market: grid type %q does not match trace %q", it.Name, tr.Type)
 	}
-	resampled, err := tr.InterpolateMinutes(from, to)
-	if err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Grid{Type: it, Start: from}
-	g.Prices = make([]float64, len(resampled.Records))
-	for i, r := range resampled.Records {
-		g.Prices[i] = r.Price
+	if !from.Before(to) {
+		return nil, fmt.Errorf("market: NewGrid with from %v >= to %v", from, to)
 	}
-	n := len(g.Prices)
-	g.changedAt = make([]int, n)
-	g.cumPrice = make([]float64, n+1)
-	g.cumChanges = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		g.cumPrice[i+1] = g.cumPrice[i] + g.Prices[i]
-		if i == 0 {
-			g.changedAt[i] = 0
-			g.cumChanges[i+1] = 0
-			continue
+	n := int(to.Sub(from) / time.Minute)
+	if to.Sub(from)%time.Minute != 0 {
+		n++
+	}
+	g := &Grid{
+		Type:       it,
+		Start:      from,
+		Prices:     make([]float64, n),
+		changedAt:  make([]int, n),
+		cumPrice:   make([]float64, n+1),
+		cumChanges: make([]int, n+1),
+	}
+	recs, j := tr.Records, 0 // j: first record after minute i
+	for i := range n {
+		t := from.Add(time.Duration(i) * time.Minute)
+		for j < len(recs) && !recs[j].At.After(t) {
+			j++
 		}
-		changed := g.Prices[i] != g.Prices[i-1]
-		if changed {
-			g.changedAt[i] = i
-			g.cumChanges[i+1] = g.cumChanges[i] + 1
-		} else {
+		p := recs[max(j-1, 0)].Price
+		g.Prices[i] = p
+		g.cumPrice[i+1] = g.cumPrice[i] + p
+		g.cumChanges[i+1] = g.cumChanges[i]
+		if i > 0 {
 			g.changedAt[i] = g.changedAt[i-1]
-			g.cumChanges[i+1] = g.cumChanges[i]
+			if p != g.Prices[i-1] {
+				g.changedAt[i] = i
+				g.cumChanges[i+1]++
+			}
 		}
 	}
 	return g, nil

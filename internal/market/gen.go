@@ -176,9 +176,13 @@ func generate(spec MarketSpec, from, to time.Time, seed uint64, shared []SharedS
 	price := base * (1 + 0.1*rng.NormFloat64()*spec.Volatility/0.015)
 	volatile := rng.Float64() < 0.3
 
+	// Quantized prices change on most minutes, so the record count runs
+	// close to the minute count: presize for it. Spikes are held by value,
+	// which keeps them out of the heap.
+	minutes := int(to.Sub(from) / time.Minute)
 	var (
-		spikes  []*spike
-		tr      = &Trace{Type: spec.Type.Name}
+		spikes  []spike
+		tr      = &Trace{Type: spec.Type.Name, Records: make([]Record, 0, minutes+1)}
 		lastRec = -1.0
 	)
 	pSwitch := spec.RegimeSwitchPerDay / (24 * 60)
@@ -201,7 +205,7 @@ func generate(spec MarketSpec, from, to time.Time, seed uint64, shared []SharedS
 		for len(pending) > 0 && !pending[0].At.After(t) {
 			ev := pending[0]
 			pending = pending[1:]
-			spikes = append(spikes, &spike{
+			spikes = append(spikes, spike{
 				start:     ev.At,
 				attack:    ev.Attack,
 				halfLife:  ev.HalfLife,
@@ -219,9 +223,7 @@ func generate(spec MarketSpec, from, to time.Time, seed uint64, shared []SharedS
 			if isWorkday(t) {
 				s += 0.5
 			}
-			h := float64(t.Hour())
-			// Smooth bump peaking at 14:00.
-			s += 0.8 * math.Exp(-((h-14)*(h-14))/30)
+			s += seasonBump[t.Hour()]
 			season = 1 + spec.Seasonality*(s-1)
 		}
 		lambda := spec.SpikesPerDay / (24 * 60) * season
@@ -230,7 +232,7 @@ func generate(spec MarketSpec, from, to time.Time, seed uint64, shared []SharedS
 		}
 		if rng.Float64() < lambda {
 			amp := spec.SpikeScale * (0.4 + rng.ExpFloat64())
-			spikes = append(spikes, &spike{
+			spikes = append(spikes, spike{
 				start:     t,
 				attack:    time.Duration(2+rng.IntN(8)) * time.Minute,
 				halfLife:  time.Duration(3+rng.IntN(10)) * time.Minute,
@@ -321,6 +323,17 @@ func GenerateSetShared(specs []MarketSpec, from, to time.Time, seed uint64, shar
 	}
 	return set, nil
 }
+
+// seasonBump is the working-hour demand bump by hour of day: a smooth bump
+// peaking at 14:00. The generator reads it every minute, so it is computed
+// once per hour value instead of one math.Exp per minute.
+var seasonBump = func() (bump [24]float64) {
+	for hour := range bump {
+		h := float64(hour)
+		bump[hour] = 0.8 * math.Exp(-((h-14)*(h-14))/30)
+	}
+	return bump
+}()
 
 func quantize(p, quantum float64) float64 {
 	q := math.Round(p/quantum) * quantum

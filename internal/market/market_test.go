@@ -224,33 +224,31 @@ func TestAvgOverTimeWeighted(t *testing.T) {
 
 func TestInterpolateMinutes(t *testing.T) {
 	tr := mkTrace(1.0, 2.0)
-	g, err := tr.InterpolateMinutes(t0, t0.Add(20*time.Minute))
+	tr.Type = "r4.large"
+	it, _ := DefaultCatalog().Lookup("r4.large")
+	g, err := NewGrid(it, tr, t0, t0.Add(20*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Records) != 20 {
-		t.Fatalf("interpolated %d records, want 20", len(g.Records))
+	if g.Len() != 20 {
+		t.Fatalf("interpolated %d minutes, want 20", g.Len())
 	}
-	for i, r := range g.Records {
+	for i, p := range g.Prices {
 		want := 1.0
 		if i >= 10 {
 			want = 2.0
 		}
-		if r.Price != want {
-			t.Fatalf("minute %d price = %v, want %v", i, r.Price, want)
+		if p != want {
+			t.Fatalf("minute %d price = %v, want %v", i, p, want)
 		}
-		if wantAt := t0.Add(time.Duration(i) * time.Minute); !r.At.Equal(wantAt) {
-			t.Fatalf("minute %d at %v, want %v", i, r.At, wantAt)
+		if wantAt := t0.Add(time.Duration(i) * time.Minute); !g.TimeAt(i).Equal(wantAt) {
+			t.Fatalf("minute %d at %v, want %v", i, g.TimeAt(i), wantAt)
 		}
 	}
 }
 
 func TestWindowAndMaxOver(t *testing.T) {
 	tr := mkTrace(1, 5, 2)
-	w := tr.Window(t0.Add(5*time.Minute), t0.Add(15*time.Minute))
-	if len(w) != 1 || w[0].Price != 5 {
-		t.Errorf("Window = %v", w)
-	}
 	// MaxOver [0m, 25m): includes the 5 at 10min and 2 at 20min, plus the
 	// price the window opens at (1.0).
 	if got := tr.MaxOver(t0, t0.Add(25*time.Minute)); got != 5 {
@@ -556,22 +554,128 @@ func TestGridFeatureRangeProperty(t *testing.T) {
 	}
 }
 
-// Property: interpolation preserves PriceAt semantics on grid points.
+// Property: the grid preserves PriceAt semantics on grid points.
 func TestInterpolationConsistencyProperty(t *testing.T) {
 	it, _ := DefaultCatalog().Lookup("r4.xlarge")
 	tr, err := Generate(MarketSpec{Type: it}, t0, t0.Add(12*time.Hour), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := tr.InterpolateMinutes(t0, t0.Add(12*time.Hour))
+	g, err := NewGrid(it, tr, t0, t0.Add(12*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range g.Records {
-		want, _ := tr.PriceAt(r.At)
-		if r.Price != want {
-			t.Fatalf("minute %d: interpolated %v, PriceAt %v", i, r.Price, want)
+	for i, p := range g.Prices {
+		want, _ := tr.PriceAt(g.TimeAt(i))
+		if p != want {
+			t.Fatalf("minute %d: interpolated %v, PriceAt %v", i, p, want)
 		}
+	}
+}
+
+// checkGridExact compares g against a naive per-minute recomputation over
+// [from, to): every price bit for bit against PriceAt, and the plateau start,
+// running price sum and change count minute by minute.
+func checkGridExact(t *testing.T, g *Grid, tr *Trace, from, to time.Time) {
+	t.Helper()
+	var want []float64
+	for ts := from; ts.Before(to); ts = ts.Add(time.Minute) {
+		p, _ := tr.PriceAt(ts)
+		want = append(want, p)
+	}
+	if len(g.Prices) != len(want) {
+		t.Fatalf("grid has %d minutes, want %d", len(g.Prices), len(want))
+	}
+	if len(g.changedAt) != len(want) || len(g.cumPrice) != len(want)+1 || len(g.cumChanges) != len(want)+1 {
+		t.Fatalf("accumulator lengths %d/%d/%d for %d minutes",
+			len(g.changedAt), len(g.cumPrice), len(g.cumChanges), len(want))
+	}
+	sum, changes, at := 0.0, 0, 0
+	if g.cumPrice[0] != 0 || g.cumChanges[0] != 0 {
+		t.Fatalf("accumulators start at %v/%d, want 0/0", g.cumPrice[0], g.cumChanges[0])
+	}
+	for i, p := range want {
+		if math.Float64bits(g.Prices[i]) != math.Float64bits(p) {
+			t.Fatalf("minute %d: grid %v, PriceAt %v", i, g.Prices[i], p)
+		}
+		if i > 0 && p != want[i-1] {
+			changes++
+			at = i
+		}
+		sum += p
+		if g.changedAt[i] != at {
+			t.Fatalf("minute %d: changedAt %d, want %d", i, g.changedAt[i], at)
+		}
+		if math.Float64bits(g.cumPrice[i+1]) != math.Float64bits(sum) {
+			t.Fatalf("minute %d: cumPrice %v, want %v", i, g.cumPrice[i+1], sum)
+		}
+		if g.cumChanges[i+1] != changes {
+			t.Fatalf("minute %d: cumChanges %d, want %d", i, g.cumChanges[i+1], changes)
+		}
+	}
+}
+
+// TestNewGridMatchesPriceAtPerMinute pins the one-pass grid build to the
+// per-minute PriceAt definition: every generated regime, traces that start
+// after or end before the grid, records on and 1ns off minute boundaries,
+// and a partial trailing minute.
+func TestNewGridMatchesPriceAtPerMinute(t *testing.T) {
+	c := DefaultCatalog()
+	from, to := t0, t0.Add(2*24*time.Hour)
+	for _, regime := range RegimeNames() {
+		set, err := GenerateRegime(regime, c, from, to, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range c.Names() {
+			it, _ := c.Lookup(name)
+			g, err := NewGrid(it, set[name], from, to)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", regime, name, err)
+			}
+			checkGridExact(t, g, set[name], from, to)
+		}
+	}
+
+	it, _ := c.Lookup("r4.large")
+	at := func(d time.Duration, p float64) Record { return Record{At: t0.Add(d), Price: p} }
+	cases := map[string][]Record{
+		// The first record lands mid-grid: earlier minutes extrapolate it
+		// backward.
+		"starts-late": {at(37*time.Minute, 0.05), at(50*time.Minute, 0.07), at(51*time.Minute, 0.05)},
+		// The last record lands early: later minutes hold its price.
+		"ends-early": {at(-3*time.Hour, 0.02), at(4*time.Minute, 0.09), at(9*time.Minute, 0.04)},
+		// Records exactly on minutes, 1ns before and 1ns after them.
+		"boundaries": {
+			at(0, 0.01), at(time.Minute-1, 0.02), at(time.Minute, 0.03), at(time.Minute+1, 0.04),
+			at(5*time.Minute-1, 0.05), at(7*time.Minute, 0.06), at(7*time.Minute+1, 0.07),
+			at(20*time.Minute-1, 0.08), at(20*time.Minute, 0.09), at(25*time.Minute+1, 0.1),
+		},
+		// Several records inside one minute: only the last at or before
+		// the minute counts, and equal neighbours are no change.
+		"dense":  {at(time.Second, 0.3), at(2*time.Second, 0.2), at(61*time.Second, 0.2), at(62*time.Second, 0.4)},
+		"single": {at(10*time.Minute, 0.5)},
+	}
+	for name, recs := range cases {
+		tr := &Trace{Type: it.Name, Records: recs}
+		for _, span := range []time.Duration{time.Hour, 30*time.Minute + 30*time.Second} {
+			g, err := NewGrid(it, tr, t0, t0.Add(span))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkGridExact(t, g, tr, t0, t0.Add(span))
+		}
+	}
+
+	invalid := &Trace{Type: it.Name, Records: []Record{at(time.Minute, 0.1), at(time.Minute, 0.2)}}
+	if _, err := NewGrid(it, invalid, t0, t0.Add(time.Hour)); err == nil {
+		t.Error("trace with repeated timestamps accepted")
+	}
+	if _, err := NewGrid(it, &Trace{Type: it.Name}, t0, t0.Add(time.Hour)); err == nil {
+		t.Error("empty trace accepted")
+	}
+	if _, err := NewGrid(it, &Trace{Type: it.Name, Records: cases["single"]}, t0, t0); err == nil {
+		t.Error("empty window accepted")
 	}
 }
 

@@ -107,37 +107,10 @@ func (tr *Trace) AvgOver(from, to time.Time) (float64, error) {
 	return sum / total.Seconds(), nil
 }
 
-// InterpolateMinutes resamples the trace onto a fixed 1-minute grid covering
-// [from, to), carrying the last price forward — the paper's preprocessing
-// step for the sparse Kaggle dataset (§IV-A1). The timestamps of the result
-// are exactly from, from+1m, from+2m, ...
-func (tr *Trace) InterpolateMinutes(from, to time.Time) (*Trace, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if !from.Before(to) {
-		return nil, fmt.Errorf("market: InterpolateMinutes with from %v >= to %v", from, to)
-	}
-	out := &Trace{Type: tr.Type}
-	for t := from; t.Before(to); t = t.Add(time.Minute) {
-		p, _ := tr.PriceAt(t)
-		out.Records = append(out.Records, Record{At: t, Price: p})
-	}
-	return out, nil
-}
-
-// Window returns the records with timestamps in [from, to).
-func (tr *Trace) Window(from, to time.Time) []Record {
-	n := len(tr.Records)
-	lo := sort.Search(n, func(i int) bool { return !tr.Records[i].At.Before(from) })
-	hi := sort.Search(n, func(i int) bool { return !tr.Records[i].At.Before(to) })
-	return append([]Record(nil), tr.Records[lo:hi]...)
-}
-
 // MaxOver returns the maximum price in force over the half-open window
 // [from, to): the step-function price entering the window (a change landing
 // exactly at `from` counts) plus every change strictly inside it; a change
-// exactly at `to` belongs to the next window, matching Window and AvgOver.
+// exactly at `to` belongs to the next window, matching AvgOver.
 // It is used to decide revocation labels: a spot request with maximum price
 // b is revoked within the window iff MaxOver > b.
 func (tr *Trace) MaxOver(from, to time.Time) float64 {

@@ -18,6 +18,7 @@ import (
 	"spottune/internal/policy"
 	"spottune/internal/resilience"
 	"spottune/internal/search"
+	"spottune/internal/workload"
 )
 
 // FaultKind names one fault-injection primitive.
@@ -141,9 +142,20 @@ func (s Spec) Validate() error {
 	if s.Deadline < 0 {
 		return fmt.Errorf("scenario: %s: negative deadline %v", s.Name, s.Deadline)
 	}
+	cat := market.DefaultCatalog()
 	if s.BaseType != "" {
-		if _, ok := market.DefaultCatalog().Lookup(s.BaseType); !ok {
-			return fmt.Errorf("scenario: %s: unknown base type %q (available: %v)", s.Name, s.BaseType, market.DefaultCatalog().Names())
+		if _, ok := cat.Lookup(s.BaseType); !ok {
+			return fmt.Errorf("scenario: %s: unknown base type %q (available: %v)", s.Name, s.BaseType, cat.Names())
+		}
+	}
+	for _, name := range s.Pool {
+		if _, ok := cat.Lookup(name); !ok {
+			return fmt.Errorf("scenario: %s: unknown pool instance %q (available: %v)", s.Name, name, cat.Names())
+		}
+	}
+	if s.Workload != "" {
+		if err := validWorkload(s.Workload); err != nil {
+			return fmt.Errorf("scenario: %s: %w", s.Name, err)
 		}
 	}
 	if s.Allocation != "" {
@@ -220,6 +232,16 @@ func validStrategy(name string) error {
 		}
 	}
 	return fmt.Errorf("unknown resilience strategy %q (available: %v)", name, resilience.Names())
+}
+
+// validWorkload checks a benchmark name against the Table II suite.
+func validWorkload(name string) error {
+	for _, w := range workload.Names() {
+		if w == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown workload %q (available: %v)", name, workload.Names())
 }
 
 // envKey identifies the shareable part of an environment build: specs that

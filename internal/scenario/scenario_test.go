@@ -252,6 +252,8 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Faults: []Fault{{Kind: FaultMassPreemption, Duration: time.Hour}}}, // spurious duration
 		{Name: "x", Faults: []Fault{{Kind: FaultMassPreemption, After: -time.Hour}}},   // before start
 		{Name: "x", Days: 3, TrainDays: 3},                                             // no campaign window
+		{Name: "x", Pool: []string{"r4.large", "z9.huge"}},                             // unknown pool member
+		{Name: "x", Workload: "VGG"},                                                   // unknown workload
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -260,6 +262,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := (Spec{Name: "ok", Regime: "calm"}).Validate(); err != nil {
 		t.Errorf("minimal spec rejected: %v", err)
+	}
+	if err := (Spec{Name: "ok", Pool: []string{"r4.large", "m4.2xlarge"}, Workload: "SVM"}).Validate(); err != nil {
+		t.Errorf("spec with a catalog pool and a suite workload rejected: %v", err)
 	}
 }
 

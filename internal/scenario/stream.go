@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 
 	"spottune/internal/campaign"
 	"spottune/internal/earlycurve"
@@ -95,6 +96,7 @@ type cellJob struct {
 
 // Stream executes the scenario × replicate × tuner × strategy × policy grid with
 // bounded memory: environments are built once per spec and shared read-only,
+// one builder goroutine builds spec k+1's world while spec k's cells run,
 // cells fan out over a campaign.Fan worker pool whose window keeps dispatch
 // at most 4× the worker count ahead of the in-order emitter, each worker
 // reuses one EarlyCurve fit memo (its SoA world) across every cell it runs,
@@ -102,7 +104,9 @@ type cellJob struct {
 // OnCell callback instead of an in-memory cell table, so 10^5-cell grids run
 // in the same footprint as the quick battery. Results do not depend on the
 // worker count. A cell that fails or panics stops the run with an error
-// naming the cell; cells already in flight finish and are dropped.
+// naming the cell; cells already in flight finish and are dropped. Specs
+// are validated before any world is built; a world that still fails to build
+// stops the run with its error after the earlier specs' cells.
 func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	o := opt.Options.withDefaults()
 	if len(m.Specs) == 0 {
@@ -137,13 +141,15 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	blocks, err := m.buildBlocks(o)
-	if err != nil {
-		return nil, err
+	if err := validWorkload(o.Workload); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	specs := make([]Spec, len(m.Specs))
 	total := 0
-	for _, b := range blocks {
-		total += reps * len(b.tuners) * len(b.strategies) * len(o.Policies)
+	for i, raw := range m.Specs {
+		specs[i] = raw.withDefaults(o)
+		tuners, strategies := specs[i].axes(o)
+		total += reps * len(tuners) * len(strategies) * len(o.Policies)
 	}
 	progressEvery := opt.ProgressEvery
 	if progressEvery <= 0 {
@@ -166,9 +172,19 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	// deterministic grid order. One fit memo and one perf cache per worker:
 	// every campaign a worker runs shares solved EarlyCurve stage fits and
 	// ground-truth step-time curves (both content-addressed and size-capped,
-	// so reuse is bit-identical and bounded).
+	// so reuse is bit-identical and bounded). Worlds arrive from the builder
+	// in spec order while earlier blocks' cells run; a build error ends the
+	// grid there.
+	blocks, stop := buildBlocks(specs, o)
+	defer stop()
+	var buildErr error
 	grid := func(yield func(cellJob) bool) {
-		for _, b := range blocks {
+		for built := range blocks {
+			if built.err != nil {
+				buildErr = built.err
+				return
+			}
+			b := built.block
 			for r := 0; r < reps; r++ {
 				for _, tname := range b.tuners {
 					for _, rname := range b.strategies {
@@ -182,7 +198,7 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 			}
 		}
 	}
-	err = campaign.Fan(grid, workers, 4*workers,
+	err := campaign.Fan(grid, workers, 4*workers,
 		func() cellState { return cellState{memo: earlycurve.NewFitMemo(), perfc: trial.NewPerfCache()} },
 		func(st cellState, job cellJob) (Cell, error) { return runCell(job, o, st) },
 		func(job cellJob, cell Cell, err error) error {
@@ -211,6 +227,10 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 			}
 			return nil
 		})
+	if err == nil {
+		// A cell error precedes the failed world in grid order, so it wins.
+		err = buildErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -220,62 +240,126 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	return summary, nil
 }
 
-// buildBlocks assembles the per-spec shared worlds. Environments are the
-// expensive part (trace generation + predictor training), so specs that
-// differ only in faults share one fault-free base build.
-func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
-	baseEnvs := map[envKey]*campaign.Environment{}
-	benches := map[string]*workload.Benchmark{}
-	curves := map[string]workload.Curves{}
-	blocks := make([]*specBlock, 0, len(m.Specs))
-	for _, raw := range m.Specs {
-		s := raw.withDefaults(o)
-		base, ok := baseEnvs[s.key()]
-		if !ok {
-			bare := s
-			bare.Faults = nil
-			var err error
-			base, err = bare.Environment(o)
-			if err != nil {
-				return nil, err
-			}
-			baseEnvs[s.key()] = base
+// builtBlock is one spec's world, or the error that stopped the build.
+type builtBlock struct {
+	block *specBlock
+	err   error
+}
+
+// buildBlocks starts the world builder: one goroutine that assembles the
+// resolved specs' shared worlds in spec order and hands each to the returned
+// channel, so cells of block k run while block k+1 builds. Environments are
+// the expensive part (trace generation + predictor training), so specs that
+// differ only in faults share one fault-free base build, and specs on the
+// same workload share one benchmark and one curve set. The channel closes
+// after the last block or after the first error. stop ends the builder and
+// waits for it; the caller defers it so no builder outlives the run.
+func buildBlocks(specs []Spec, o Options) (blocks <-chan builtBlock, stop func()) {
+	out := make(chan builtBlock)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(out)
+		w := &worlds{
+			baseEnvs: map[envKey]*campaign.Environment{},
+			lastUse:  map[envKey]int{},
+			benches:  map[string]*workload.Benchmark{},
+			curves:   map[string]workload.Curves{},
 		}
-		env, err := s.withFaults(base)
-		if err != nil {
+		for i, s := range specs {
+			w.lastUse[s.key()] = i
+		}
+		for i, s := range specs {
+			b, err := w.build(i, s, o)
+			select {
+			case out <- builtBlock{block: b, err: err}:
+			case <-done:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return out, func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// worlds holds the builder's shared pieces. A base environment is dropped
+// once the last spec that shares it is built, so it lives only as long as
+// blocks still running cells reference it.
+type worlds struct {
+	baseEnvs map[envKey]*campaign.Environment
+	lastUse  map[envKey]int
+	benches  map[string]*workload.Benchmark
+	curves   map[string]workload.Curves
+}
+
+// build assembles resolved spec i's block. A panic while building becomes
+// the block's error: it would otherwise take down the process from the
+// builder goroutine.
+func (w *worlds) build(i int, s Spec, o Options) (b *specBlock, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			b, err = nil, fmt.Errorf("scenario: %s: building world: %w", s.Name, &campaign.PanicError{Value: p})
+		}
+	}()
+	key := s.key()
+	base, ok := w.baseEnvs[key]
+	if !ok {
+		bare := s
+		bare.Faults = nil
+		if base, err = bare.Environment(o); err != nil {
 			return nil, err
 		}
-		bench, ok := benches[s.Workload]
-		if !ok {
-			bench, err = workload.SuiteByName(s.Workload, workload.Config{Seed: o.Seed, Scale: o.Scale})
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
-			}
-			benches[s.Workload] = bench
-		}
-		cv, ok := curves[s.Workload]
-		if !ok {
-			if o.Quick {
-				cv = bench.SyntheticCurves(o.Seed)
-			} else {
-				cv, err = bench.RecordCurves()
-				if err != nil {
-					return nil, fmt.Errorf("scenario: %s: recording curves: %w", s.Name, err)
-				}
-			}
-			curves[s.Workload] = cv
-		}
-		tuners := o.Tuners
-		if s.Tuner != "" {
-			tuners = []string{s.Tuner}
-		}
-		strategies := o.Strategies
-		if s.Resilience != "" {
-			strategies = []string{s.Resilience}
-		}
-		blocks = append(blocks, &specBlock{spec: s, env: env, bench: bench, curves: cv, tuners: tuners, strategies: strategies})
+		w.baseEnvs[key] = base
 	}
-	return blocks, nil
+	if w.lastUse[key] == i {
+		delete(w.baseEnvs, key)
+	}
+	env, err := s.withFaults(base)
+	if err != nil {
+		return nil, err
+	}
+	bench, ok := w.benches[s.Workload]
+	if !ok {
+		bench, err = workload.SuiteByName(s.Workload, workload.Config{Seed: o.Seed, Scale: o.Scale})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
+		}
+		w.benches[s.Workload] = bench
+	}
+	cv, ok := w.curves[s.Workload]
+	if !ok {
+		if o.Quick {
+			cv = bench.SyntheticCurves(o.Seed)
+		} else {
+			cv, err = bench.RecordCurves()
+			if err != nil {
+				return nil, fmt.Errorf("scenario: %s: recording curves: %w", s.Name, err)
+			}
+		}
+		w.curves[s.Workload] = cv
+	}
+	tuners, strategies := s.axes(o)
+	return &specBlock{spec: s, env: env, bench: bench, curves: cv, tuners: tuners, strategies: strategies}, nil
+}
+
+// axes returns the tuner and strategy axes of a resolved spec's block: the
+// matrix axes unless the spec pins one.
+func (s Spec) axes(o Options) (tuners, strategies []string) {
+	tuners, strategies = o.Tuners, o.Strategies
+	if s.Tuner != "" {
+		tuners = []string{s.Tuner}
+	}
+	if s.Resilience != "" {
+		strategies = []string{s.Resilience}
+	}
+	return tuners, strategies
 }
 
 // cellState is one stream worker's campaign caches.

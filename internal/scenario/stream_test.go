@@ -7,9 +7,11 @@ import (
 	"math/rand/v2"
 	"os"
 	"os/exec"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"spottune/internal/policy"
 	"spottune/internal/search"
@@ -239,8 +241,124 @@ func TestStreamContainsPanickingCell(t *testing.T) {
 			t.Errorf("%s: error does not name the panicking cell: %v", runner, err)
 		}
 	}
+	// A second spec keeps the world builder busy when the first block's
+	// cell panics; it must stop with the run.
+	calm := specs[0]
+	calm.Name, calm.Regime = "calm", "calm"
+	m.Specs = append(m.Specs, calm)
+	before := runtime.NumGoroutine()
 	_, err = m.Stream(StreamOptions{Options: opt, Workers: 2})
 	check("Stream", err)
+	settleGoroutines(t, before)
 	_, err = m.Run(opt)
 	check("Run", err)
+	settleGoroutines(t, before)
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// before within a second: no world builder or worker outlives Stream.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Errorf("%d goroutines after Stream returned, %d before", n, before)
+	}
+}
+
+// TestStreamBuildErrorInLaterSpec: a world that fails to build after the
+// earlier specs' cells have streamed ends the run with that build's error,
+// with every earlier cell emitted and no builder left running.
+func TestStreamBuildErrorInLaterSpec(t *testing.T) {
+	specs, err := SpecsByName([]string{"baseline", "calm", "volatile"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spec.Validate leaves predictor kinds to the environment build, so an
+	// unknown kind is a build error that validation does not pre-empt.
+	specs[1].Predictor = "no-such-predictor"
+	opt := quickOpts()
+	opt.Policies = []string{policy.SpotTuneName, policy.CheapestName}
+	before := runtime.NumGoroutine()
+	var emitted []string
+	_, err = Matrix{Specs: specs}.Stream(StreamOptions{Options: opt, Workers: 2, OnCell: func(c Cell) error {
+		emitted = append(emitted, c.Scenario)
+		return nil
+	}})
+	if err == nil {
+		t.Fatal("unbuildable spec accepted")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "scenario: calm: ") || !strings.Contains(msg, `unknown predictor kind "no-such-predictor"`) {
+		t.Errorf("build error = %v, want the calm world's predictor error", err)
+	}
+	if want := []string{"baseline", "baseline"}; !slices.Equal(emitted, want) {
+		t.Errorf("emitted cells of %v, want %v", emitted, want)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestStreamFailingCellStopsBuilder: a cell error in the first block stops
+// the run with that error while later worlds are still to build, and the
+// builder exits with the run.
+func TestStreamFailingCellStopsBuilder(t *testing.T) {
+	specs, err := SpecsByName([]string{"baseline", "calm", "volatile", "crunch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := quickOpts()
+	opt.Policies = []string{policy.SpotTuneName, policy.CheapestName}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2} {
+		cells := 0
+		_, err = Matrix{Specs: specs}.Stream(StreamOptions{Options: opt, Workers: workers, OnCell: func(c Cell) error {
+			cells++
+			return fmt.Errorf("consumer rejects %s", c.Scenario)
+		}})
+		if err == nil || !strings.Contains(err.Error(), "consumer rejects baseline") {
+			t.Errorf("workers=%d: Stream error = %v, want the first cell's", workers, err)
+		}
+		if cells != 1 {
+			t.Errorf("workers=%d: %d cells emitted after the first failed", workers, cells-1)
+		}
+		settleGoroutines(t, before)
+	}
+}
+
+// TestStreamValidatesBeforeBuilding: an unknown workload or pool member in a
+// later spec, or an unknown matrix workload, is rejected before any world is
+// built or any cell is emitted.
+func TestStreamValidatesBeforeBuilding(t *testing.T) {
+	specs, err := SpecsByName([]string{"baseline", "calm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badWorkload := slices.Clone(specs)
+	badWorkload[1].Workload = "VGG"
+	badPool := slices.Clone(specs)
+	badPool[1].Pool = []string{"r4.large", "z9.huge"}
+	badDefault := quickOpts()
+	badDefault.Workload = "VGG"
+	for name, run := range map[string]struct {
+		specs []Spec
+		opt   Options
+	}{
+		"spec workload":   {badWorkload, quickOpts()},
+		"spec pool":       {badPool, quickOpts()},
+		"matrix workload": {specs, badDefault},
+	} {
+		cells := 0
+		_, err := Matrix{Specs: run.specs}.Stream(StreamOptions{Options: run.opt, OnCell: func(Cell) error {
+			cells++
+			return nil
+		}})
+		if err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("%s: Stream error = %v, want a validation error", name, err)
+		}
+		if cells != 0 {
+			t.Errorf("%s: %d cells emitted before the invalid spec was rejected", name, cells)
+		}
+	}
 }

@@ -7,18 +7,39 @@ import (
 	"spottune/internal/mltrain"
 )
 
-// Suite builds all six Table II benchmarks.
-func Suite(cfg Config) []*Benchmark {
-	return []*Benchmark{
-		LoR(cfg), SVM(cfg), GBTR(cfg), LiR(cfg), AlexNet(cfg), ResNet(cfg),
-	}
+// suite lists the six Table II benchmarks in table order.
+var suite = []struct {
+	name  string
+	build func(Config) *Benchmark
+}{
+	{"LoR", LoR}, {"SVM", SVM}, {"GBTR", GBTR}, {"LiR", LiR}, {"AlexNet", AlexNet}, {"ResNet", ResNet},
 }
 
-// SuiteByName returns one benchmark by its Table II name.
+// Suite builds all six Table II benchmarks.
+func Suite(cfg Config) []*Benchmark {
+	out := make([]*Benchmark, len(suite))
+	for i, s := range suite {
+		out[i] = s.build(cfg)
+	}
+	return out
+}
+
+// Names returns the Table II benchmark names in table order, without
+// building any benchmark.
+func Names() []string {
+	out := make([]string, len(suite))
+	for i, s := range suite {
+		out[i] = s.name
+	}
+	return out
+}
+
+// SuiteByName builds one benchmark by its Table II name. Each benchmark
+// derives its data from cfg alone, so it is the same benchmark Suite builds.
 func SuiteByName(name string, cfg Config) (*Benchmark, error) {
-	for _, b := range Suite(cfg) {
-		if b.Name == name {
-			return b, nil
+	for _, s := range suite {
+		if s.name == name {
+			return s.build(cfg), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q", name)

@@ -56,6 +56,23 @@ func TestSuiteByName(t *testing.T) {
 	if _, err := SuiteByName("nope", quickCfg()); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
+	// Names lists the suite without building it, in Suite's order, and
+	// SuiteByName builds the same benchmark Suite does.
+	suite := Suite(quickCfg())
+	names := Names()
+	if len(names) != len(suite) {
+		t.Fatalf("Names() = %v for a %d-benchmark suite", names, len(suite))
+	}
+	for i, name := range names {
+		b, err := SuiteByName(name, quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suite[i].Name != name || b.Name != name || b.MaxTrialSteps != suite[i].MaxTrialSteps ||
+			b.ValidateEvery != suite[i].ValidateEvery || len(b.HPs) != len(suite[i].HPs) {
+			t.Errorf("benchmark %d: Names %q, Suite %+v, SuiteByName %+v", i, name, suite[i], b)
+		}
+	}
 }
 
 func TestInstanceSpeedupNonMonotoneInPrice(t *testing.T) {
